@@ -14,7 +14,6 @@ from .core import (
     EmbeddingTable,
     Vocabulary,
     all_mask_init,
-    embed_lookup,
     softmax,
 )
 from .decoder import (
@@ -27,7 +26,7 @@ from .decoder import (
     remask_rates,
     select_unmask,
 )
-from .denoiser import DenoiseContext, NoisyOracleParams, markov_logits, noisy_oracle_logits
+from .denoiser import DenoiseContext, NoisyOracleParams, markov_logits, noisy_oracle_logits, prepare
 from .harness import (
     ConfigError,
     ExperimentConfig,

@@ -13,7 +13,7 @@ __all__ = ["BigramModel", "load_corpus"]
 
 
 class BigramModel:
-    """V x V transition counts with add-one smoothing at query time.
+    """V x V transition counts with add-one smoothing.
 
     `counts[a, b]` is the number of observed a -> b adjacencies;
     `token_counts[v]` the number of occurrences of v (for the unigram).
@@ -38,6 +38,13 @@ class BigramModel:
         self.num_tokens = num_tokens
         self.counts = counts
         self.token_counts = token_counts
+        # (V+1) x V tables built once from the query methods: row a of
+        # `next_table` is next_probs(a), row b of `prev_table` is prev_probs(b),
+        # and row V (the mask id) of both is the unigram, the distribution
+        # given no revealed neighbour.
+        uni = self.unigram()
+        self.next_table = np.vstack([*map(self.next_probs, range(num_tokens)), uni])
+        self.prev_table = np.vstack([*map(self.prev_probs, range(num_tokens)), uni])
 
     @classmethod
     def fit(cls, sequences: list[list[int]], num_tokens: int) -> "BigramModel":

@@ -2,7 +2,7 @@
 
 Holds the vocabulary with its mask sentinel, the evolving diffusion state,
 token embedding tables, a counter-based deterministic random source, and the
-shared numeric primitives (softmax, embedding lookup, all-mask init).
+shared numeric primitives (softmax, all-mask init).
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ __all__ = [
     "EmbeddingTable",
     "DeterministicRng",
     "all_mask_init",
-    "embed_lookup",
     "softmax",
 ]
 
@@ -58,7 +57,6 @@ class DiffusionState:
     tokens: np.ndarray
     injected: set[int] = field(default_factory=set)
     embedding_override: np.ndarray | None = None
-    iteration: int = 0
 
     def __post_init__(self):
         self.tokens = np.asarray(self.tokens, dtype=np.int64)
@@ -91,7 +89,6 @@ class DiffusionState:
             tokens=self.tokens.copy(),
             injected=set(self.injected),
             embedding_override=override,
-            iteration=self.iteration,
         )
 
 
@@ -149,12 +146,13 @@ class DeterministicRng:
 
     def __init__(self, seed: int):
         self.seed = int(seed)
-        self._key = struct.pack("<Q", self.seed & 0xFFFFFFFFFFFFFFFF)
+        # Keyed once; each draw hashes its message on a copy of this state.
+        self._keyed = blake2b(digest_size=8, key=struct.pack("<Q", self.seed & 0xFFFFFFFFFFFFFFFF))
 
     def draw(self, purpose: str, position: int, iteration: int) -> float:
-        msg = purpose.encode("utf-8") + struct.pack("<qq", position, iteration)
-        digest = blake2b(msg, digest_size=8, key=self._key).digest()
-        return int.from_bytes(digest, "little") / 2.0**64
+        h = self._keyed.copy()
+        h.update(purpose.encode("utf-8") + struct.pack("<qq", position, iteration))
+        return int.from_bytes(h.digest(), "little") / 2.0**64
 
 
 def all_mask_init(vocab: Vocabulary, n: int) -> DiffusionState:
@@ -163,13 +161,6 @@ def all_mask_init(vocab: Vocabulary, n: int) -> DiffusionState:
         raise ValueError(f"sequence length must be >= 1, got {n}")
     tokens = np.full(n, vocab.mask_id, dtype=np.int64)
     return DiffusionState(vocab=vocab, tokens=tokens)
-
-
-def embed_lookup(table: EmbeddingTable, token_id: int) -> np.ndarray:
-    """Row read for a token id; the mask id maps to the table's last row."""
-    if token_id < 0 or token_id > table.mask_id:
-        raise ValueError(f"token id {token_id} outside [0, {table.mask_id}]")
-    return table.rows[token_id].copy()
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

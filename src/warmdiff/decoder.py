@@ -153,17 +153,15 @@ def decode(
 
     trace = DecodeTrace()
     k = 0
-    while state.masked_count() > 0 and k < dcfg.k_max:
+    masked = state.masked()  # refreshed once per iteration, after unmask and remask
+    while masked.any() and k < dcfg.k_max:
         k += 1
-        state.iteration = k
         if wcfg.override_persistence == "first-iteration" and k > 1:
             state.embedding_override = None
 
         logits = denoiser(state, ctx)
         pi = softmax(logits)
         conf = confidences(pi, state)
-        masked = state.masked()
-
         chosen = select_unmask(conf, masked, dcfg.tau)
         tokens = pi[chosen].argmax(axis=1)
         unmasked = [(int(p), int(t), float(conf[p])) for p, t in zip(chosen, tokens)]
@@ -176,11 +174,12 @@ def decode(
             rates = remask_rates(c_bar, k, dcfg.b0, dcfg.lam)
             remasked = apply_remask(state, eligible, rates, rng, k)
 
+        masked = state.masked()
         trace.iterations.append(
-            IterationRecord(k=k, unmasked=unmasked, remasked=remasked, masked_after=state.masked_count())
+            IterationRecord(k=k, unmasked=unmasked, remasked=remasked, masked_after=int(masked.sum()))
         )
 
     trace.nfe = len(trace.iterations)
-    trace.capped = state.masked_count() > 0
+    trace.capped = bool(masked.any())
     trace.final_tokens = state.tokens.copy()
     return state.tokens.copy(), trace

@@ -2,8 +2,9 @@
 
 Both models return a full n x V logit matrix on every call, fixed positions
 included, because remasking needs the probability of each currently fixed
-token. A denoiser is any callable `(state, ctx) -> logits` that is
-deterministic given its inputs.
+token. A denoiser is a callable `(state, ctx) -> logits`, deterministic given
+its inputs; `prepare` checks a run's inputs once and builds its context,
+precomputing what stays constant over the run.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .core import DiffusionState, EmbeddingTable
 __all__ = [
     "DenoiseContext",
     "NoisyOracleParams",
+    "prepare",
     "noisy_oracle_logits",
     "markov_logits",
 ]
@@ -30,10 +32,13 @@ _MODES = ("faithful", "credulous")
 @dataclass(frozen=True, eq=False)
 class DenoiseContext:
     """Planted ground-truth target (the prompt-determined answer) plus the
-    model-specific parameters: NoisyOracleParams or a BigramModel."""
+    model-specific parameters: NoisyOracleParams or a BigramModel. `bonus` is
+    the oracle's per-position embedding bonus, set by `prepare` when it applies.
+    """
 
     target: np.ndarray
     params: object
+    bonus: np.ndarray | None = None
 
     def __post_init__(self):
         target = np.asarray(self.target, dtype=np.int64)
@@ -97,30 +102,51 @@ def _window_sums(values: np.ndarray, window: int) -> np.ndarray:
     return cum[hi] - cum[lo]
 
 
-def _check_shapes(state: DiffusionState, ctx: DenoiseContext):
-    if len(ctx.target) != len(state.tokens):
-        raise ValueError(
-            f"target length {len(ctx.target)} does not match state length {len(state.tokens)}"
-        )
-    if (ctx.target >= state.vocab.size).any():
+def prepare(kind: str, target, params, init: DiffusionState, table: EmbeddingTable | None = None):
+    """The denoiser of `kind` ("noisy-oracle" or "markov") and its context for a
+    run that starts from `init`, after every check the denoiser relies on."""
+    ctx = DenoiseContext(target=target, params=params)
+    if len(ctx.target) != len(init.tokens):
+        raise ValueError(f"target length {len(ctx.target)} does not match state length {len(init.tokens)}")
+    if (ctx.target >= init.vocab.size).any():
         raise ValueError("target contains token ids outside the vocabulary")
+    if kind == "markov":
+        if not isinstance(params, BigramModel):
+            raise ValueError("the markov denoiser expects a BigramModel")
+        if params.num_tokens != init.vocab.size:
+            raise ValueError("bigram model vocabulary does not match the state vocabulary")
+        return markov_logits, ctx
+    if kind != "noisy-oracle":
+        raise ValueError(f"unknown denoiser kind {kind!r}")
+    if not isinstance(params, NoisyOracleParams):
+        raise ValueError("the noisy oracle expects NoisyOracleParams")
+    override = init.embedding_override
+    if override is None or not params.eta > 0.0:
+        return noisy_oracle_logits, ctx
+    if table is None:
+        raise ValueError("embedding table required when eta > 0 and an override is present")
+    # eta * (cos(override, Emb(target)) - cos(mask_vec, Emb(target))) with the
+    # scalar cosine: a vectorized norm sums in another order, and an ulp at
+    # tau moves NFE.
+    mask_vec, rows = table.mask_vector(), table.rows
+    bonus = [
+        params.eta * (_cosine(override[i], rows[t]) - _cosine(mask_vec, rows[t])) for i, t in enumerate(ctx.target)
+    ]
+    return noisy_oracle_logits, DenoiseContext(target=ctx.target, params=params, bonus=np.array(bonus))
 
 
-def noisy_oracle_logits(
-    state: DiffusionState, ctx: DenoiseContext, table: EmbeddingTable | None = None
-) -> np.ndarray:
+def noisy_oracle_logits(state: DiffusionState, ctx: DenoiseContext) -> np.ndarray:
     """Logits from the context-gain oracle.
 
     Per-position confidence is c = min(c_max, c0 + gamma * f) where f is the
     fraction of correctly revealed positions (faithful mode) or of revealed
     positions regardless of correctness (credulous mode). When an embedding
     override is present, each masked position additionally earns
-    eta * (cos(override, Emb(target)) - cos(mask_vec, Emb(target))), clipped
-    into [0, c_max]. The intended token gets probability c, the remaining
-    mass is uniform over the other V-1 tokens, and logits are exact logs of
-    that distribution (floored at 1e-12).
+    eta * (cos(override, Emb(target)) - cos(mask_vec, Emb(target))), the
+    context's bonus, clipped into [0, c_max]. The intended token gets
+    probability c, the remaining mass is uniform over the other V-1 tokens,
+    and logits are exact logs of that distribution (floored at 1e-12).
     """
-    _check_shapes(state, ctx)
     params: NoisyOracleParams = ctx.params
     n = len(state.tokens)
     V = state.vocab.size
@@ -133,13 +159,10 @@ def noisy_oracle_logits(
     conf = np.full(n, min(params.c_max, params.c0 + params.gamma * f), dtype=np.float64)
 
     if state.embedding_override is not None and params.eta > 0.0:
-        if table is None:
-            raise ValueError("embedding table required when eta > 0 and an override is present")
-        mask_vec = table.mask_vector()
-        for i in np.flatnonzero(~revealed):
-            target_vec = table.rows[ctx.target[i]]
-            bonus = _cosine(state.embedding_override[i], target_vec) - _cosine(mask_vec, target_vec)
-            conf[i] = min(params.c_max, max(0.0, conf[i] + params.eta * bonus))
+        if ctx.bonus is None:
+            raise ValueError("context has no embedding bonus; build it with prepare from the overridden state")
+        masked = ~revealed
+        conf[masked] = np.clip(conf[masked] + ctx.bonus[masked], 0.0, params.c_max)
 
     intended = ctx.target.copy()
     if params.mode == "credulous":
@@ -163,32 +186,16 @@ def markov_logits(state: DiffusionState, ctx: DenoiseContext) -> np.ndarray:
     revealed token contributes the unigram instead. Fixed positions use the
     same formula (their own token excluded from "nearest").
     """
-    _check_shapes(state, ctx)
     model: BigramModel = ctx.params
-    if not isinstance(model, BigramModel):
-        raise ValueError("markov_logits expects ctx.params to be a BigramModel")
     n = len(state.tokens)
-    if model.num_tokens != state.vocab.size:
-        raise ValueError("bigram model vocabulary does not match the state vocabulary")
     revealed = ~state.masked()
-
-    left = np.full(n, -1, dtype=np.int64)
-    last = -1
-    for i in range(n):
-        left[i] = last
-        if revealed[i]:
-            last = int(state.tokens[i])
-    right = np.full(n, -1, dtype=np.int64)
-    last = -1
-    for i in range(n - 1, -1, -1):
-        right[i] = last
-        if revealed[i]:
-            last = int(state.tokens[i])
-
-    uni = model.unigram()
-    rows = np.empty((n, model.num_tokens), dtype=np.float64)
-    for i in range(n):
-        fwd = model.next_probs(int(left[i])) if left[i] >= 0 else uni
-        bwd = model.prev_probs(int(right[i])) if right[i] >= 0 else uni
-        rows[i] = 0.5 * fwd + 0.5 * bwd
-    return np.log(rows)
+    pos = np.arange(n)
+    # Nearest revealed position strictly left and right of each position; -1
+    # and n stand for none and both index the appended mask id, whose table
+    # row is the unigram.
+    left = np.maximum.accumulate(np.where(revealed, pos, -1))
+    right = np.minimum.accumulate(np.where(revealed, pos, n)[::-1])[::-1]
+    tokens = np.append(state.tokens, state.vocab.mask_id)
+    fwd = model.next_table[tokens[np.concatenate(([-1], left[:-1]))]]
+    bwd = model.prev_table[tokens[np.concatenate((right[1:], [n]))]]
+    return np.log(0.5 * fwd + 0.5 * bwd)

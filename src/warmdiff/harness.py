@@ -12,14 +12,13 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
 from .bigram import BigramModel, load_corpus
 from .core import DeterministicRng, DiffusionState, EmbeddingTable, Vocabulary, all_mask_init
 from .decoder import DecodeConfig, DecodeTrace, decode
-from .denoiser import DenoiseContext, NoisyOracleParams, markov_logits, noisy_oracle_logits
+from .denoiser import NoisyOracleParams, prepare
 from .proposal import propose_corrupted, propose_markov
 from .warmstart import WarmStartConfig, warm_init
 
@@ -537,13 +536,6 @@ def run_one(
     vocab = Vocabulary(cfg.vocab_size)
     target = _make_target(cfg, resources, rng)
 
-    if cfg.denoiser_kind == "noisy-oracle":
-        ctx = DenoiseContext(target=target, params=cfg.oracle)
-        denoiser = partial(noisy_oracle_logits, table=resources.table)
-    else:
-        ctx = DenoiseContext(target=target, params=resources.bigram)
-        denoiser = markov_logits
-
     if cfg.warmstart.method == "none":
         init = all_mask_init(vocab, cfg.n)
     else:
@@ -553,6 +545,8 @@ def run_one(
             prop = propose_markov(resources.bigram, cfg.n, rng)
         init = warm_init(vocab, prop, resources.table, cfg.warmstart, rng)
 
+    params = cfg.oracle if cfg.denoiser_kind == "noisy-oracle" else resources.bigram
+    denoiser, ctx = prepare(cfg.denoiser_kind, target, params, init, resources.table)
     out, trace = decode(denoiser, ctx, init, cfg.decode, cfg.warmstart, rng)
     result = RunResult(
         run=run_index,

@@ -70,8 +70,7 @@ def propose_markov(model: BigramModel, n: int, rng: DeterministicRng) -> Proposa
     if n < 1:
         raise ValueError("proposal length must be >= 1")
     tokens = np.empty(n, dtype=np.int64)
-    tokens[0] = _sample_index(model.unigram(), rng.draw("proposal-markov", 0, 0))
-    for i in range(1, n):
-        probs = model.next_probs(int(tokens[i - 1]))
-        tokens[i] = _sample_index(probs, rng.draw("proposal-markov", i, 0))
+    prev = model.num_tokens  # the unigram row of next_table
+    for i in range(n):
+        tokens[i] = prev = _sample_index(model.next_table[prev], rng.draw("proposal-markov", i, 0))
     return Proposal(tokens=tokens, source="markov")

@@ -11,7 +11,6 @@ from warmdiff.core import (
     EmbeddingTable,
     Vocabulary,
     all_mask_init,
-    embed_lookup,
     softmax,
 )
 
@@ -33,7 +32,6 @@ class TestAllMaskInit:
         assert state.tokens.tolist() == [4, 4, 4, 4]
         assert state.injected == set()
         assert state.embedding_override is None
-        assert state.iteration == 0
         assert state.masked_count() == 4
 
     def test_smallest_legal_state(self):
@@ -77,22 +75,7 @@ class TestDiffusionState:
 
 
 class TestEmbedLookup:
-    def table(self):
-        return EmbeddingTable(rows=np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]))
-
-    def test_plain_row_read(self):
-        assert embed_lookup(self.table(), 0).tolist() == [1.0, 0.0]
-
-    def test_mask_id_returns_mask_row(self):
-        t = self.table()
-        assert embed_lookup(t, t.mask_id).tolist() == [0.5, 0.5]
-
-    def test_out_of_vocabulary_rejected(self):
-        t = self.table()
-        with pytest.raises(ValueError):
-            embed_lookup(t, t.num_tokens + 3)
-        with pytest.raises(ValueError):
-            embed_lookup(t, -1)
+    """The table that embedding lookups read rows from."""
 
     def test_table_rejects_non_finite(self):
         with pytest.raises(ValueError):
@@ -159,6 +142,15 @@ class TestDeterministicRng:
         xs = [rng.draw("one", i, 0) for i in range(50)]
         ys = [rng.draw("two", i, 0) for i in range(50)]
         assert xs != ys
+
+    def test_draw_is_keyed_blake2b_of_its_address(self):
+        for seed in (0, 7, -17, 2**64 + 5):
+            rng = DeterministicRng(seed)
+            key = (seed & (2**64 - 1)).to_bytes(8, "little")
+            for purpose, pos, it in [("remask", 0, 1), ("embed-table", 64, 255), ("x", -3, 2**40)]:
+                msg = purpose.encode() + pos.to_bytes(8, "little", signed=True) + it.to_bytes(8, "little", signed=True)
+                digest = hashlib.blake2b(msg, digest_size=8, key=key).digest()
+                assert rng.draw(purpose, pos, it) == int.from_bytes(digest, "little") / 2.0**64
 
     def test_negative_seed_accepted(self):
         rng = DeterministicRng(-17)

@@ -5,7 +5,7 @@ import pytest
 
 from warmdiff.bigram import BigramModel
 from warmdiff.core import DeterministicRng, DiffusionState, EmbeddingTable, Vocabulary, all_mask_init
-from warmdiff.denoiser import DenoiseContext, NoisyOracleParams, markov_logits, noisy_oracle_logits
+from warmdiff.denoiser import DenoiseContext, NoisyOracleParams, markov_logits, noisy_oracle_logits, prepare
 
 
 def oracle_ctx(target, **kw):
@@ -36,12 +36,12 @@ class TestContracts:
     def test_length_mismatch_rejected(self):
         v = Vocabulary(3)
         with pytest.raises(ValueError):
-            noisy_oracle_logits(all_mask_init(v, 4), oracle_ctx([0, 1, 2]))
+            prepare("noisy-oracle", [0, 1, 2], NoisyOracleParams(), all_mask_init(v, 4))
 
     def test_target_outside_vocab_rejected(self):
         v = Vocabulary(3)
         with pytest.raises(ValueError):
-            noisy_oracle_logits(all_mask_init(v, 2), oracle_ctx([0, 3]))
+            prepare("noisy-oracle", [0, 3], NoisyOracleParams(), all_mask_init(v, 2))
 
 
 class TestNoisyOracle:
@@ -138,16 +138,19 @@ class TestEmbeddingBonus:
         state.embedding_override = (1 - alpha) * mask_vec + alpha * emb
         return state
 
+    def logits(self, state, table=None, **kw):
+        table = self.table if table is None else table
+        denoiser, ctx = prepare("noisy-oracle", self.target, NoisyOracleParams(**kw), state, table)
+        return denoiser(state, ctx)
+
     def test_alpha_zero_is_exactly_neutral(self):
-        ctx = oracle_ctx(self.target, c0=0.4, eta=0.8)
-        with_override = noisy_oracle_logits(self.state_with_override(0.0), ctx, self.table)
-        without = noisy_oracle_logits(all_mask_init(self.v, 4), ctx, self.table)
+        with_override = self.logits(self.state_with_override(0.0), c0=0.4, eta=0.8)
+        without = self.logits(all_mask_init(self.v, 4), c0=0.4, eta=0.8)
         assert with_override.tobytes() == without.tobytes()
 
     def test_full_override_raises_masked_confidence(self):
-        ctx = oracle_ctx(self.target, c0=0.4, eta=0.5, c_max=0.99)
-        pi_warm = np.exp(noisy_oracle_logits(self.state_with_override(1.0), ctx, self.table))
-        pi_cold = np.exp(noisy_oracle_logits(self.state_with_override(0.0), ctx, self.table))
+        pi_warm = np.exp(self.logits(self.state_with_override(1.0), c0=0.4, eta=0.5, c_max=0.99))
+        pi_cold = np.exp(self.logits(self.state_with_override(0.0), c0=0.4, eta=0.5, c_max=0.99))
         warm = pi_warm[np.arange(4), self.target]
         cold = pi_cold[np.arange(4), self.target]
         assert (warm >= cold - 1e-12).all()
@@ -156,21 +159,18 @@ class TestEmbeddingBonus:
     def test_bonus_skips_fixed_positions(self):
         state = self.state_with_override(1.0)
         state.tokens[0] = self.target[0]
-        ctx = oracle_ctx(self.target, c0=0.4, gamma=0.0, eta=0.5)
-        pi = np.exp(noisy_oracle_logits(state, ctx, self.table))
+        pi = np.exp(self.logits(state, c0=0.4, gamma=0.0, eta=0.5))
         assert abs(pi[0, self.target[0]] - 0.4) < 1e-12
 
     def test_missing_table_rejected(self):
-        ctx = oracle_ctx(self.target, eta=0.5)
         with pytest.raises(ValueError):
-            noisy_oracle_logits(self.state_with_override(1.0), ctx, None)
+            prepare("noisy-oracle", self.target, NoisyOracleParams(eta=0.5), self.state_with_override(1.0))
 
     def test_zero_vectors_stay_finite(self):
         table = EmbeddingTable(rows=np.zeros((5, 3)))
         state = all_mask_init(self.v, 4)
         state.embedding_override = np.zeros((4, 3))
-        ctx = oracle_ctx(self.target, eta=0.9)
-        out = noisy_oracle_logits(state, ctx, table)
+        out = self.logits(state, table, eta=0.9)
         assert np.isfinite(out).all()
 
 
@@ -256,12 +256,10 @@ class TestMarkovLogits:
     def test_vocab_mismatch_rejected(self):
         model = BigramModel.fit([[0, 1]], 2)
         v = Vocabulary(3)
-        ctx = DenoiseContext(target=np.array([0, 1]), params=model)
         with pytest.raises(ValueError):
-            markov_logits(all_mask_init(v, 2), ctx)
+            prepare("markov", [0, 1], model, all_mask_init(v, 2))
 
     def test_non_model_params_rejected(self):
         v = Vocabulary(3)
-        ctx = DenoiseContext(target=np.array([0, 1]), params=NoisyOracleParams())
         with pytest.raises(ValueError):
-            markov_logits(all_mask_init(v, 2), ctx)
+            prepare("markov", [0, 1], NoisyOracleParams(), all_mask_init(v, 2))

@@ -114,7 +114,6 @@ class TestWarmInit:
         assert state.injected == set()
         assert state.embedding_override is not None
         assert state.embedding_override.shape == (5, 3)
-        assert state.iteration == 0
 
     def test_interpolation_without_table_rejected(self):
         cfg = WarmStartConfig(method="embedding-interpolation")
