@@ -7,6 +7,8 @@ whitespace-separated base-10 token ids.
 
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
 
 __all__ = ["BigramModel", "load_corpus"]
@@ -45,22 +47,29 @@ class BigramModel:
         uni = self.unigram()
         self.next_table = np.vstack([*map(self.next_probs, range(num_tokens)), uni])
         self.prev_table = np.vstack([*map(self.prev_probs, range(num_tokens)), uni])
+        # Row a of `next_table` as a running sum, for inverse-CDF sampling
+        # with bisect; cumsum adds left to right, as a per-row cumsum would.
+        # array("d") rows bisect as fast as lists in a quarter of the memory.
+        self.next_cdf = [array("d", row) for row in np.cumsum(self.next_table, axis=1)]
 
     @classmethod
     def fit(cls, sequences: list[list[int]], num_tokens: int) -> "BigramModel":
-        counts = np.zeros((num_tokens, num_tokens), dtype=np.float64)
-        token_counts = np.zeros(num_tokens, dtype=np.float64)
-        total = 0
-        for seq in sequences:
-            for tok in seq:
-                if tok < 0 or tok >= num_tokens:
-                    raise ValueError(f"corpus token {tok} outside [0, {num_tokens})")
-                token_counts[tok] += 1
-                total += 1
-            for a, b in zip(seq, seq[1:]):
-                counts[a, b] += 1
-        if total == 0:
+        # No dtype: a token beyond int64 makes an object array, which the
+        # range check still reports instead of overflowing.
+        flat = np.array([tok for seq in sequences for tok in seq])
+        bad = np.flatnonzero((flat < 0) | (flat >= num_tokens))
+        if bad.size:
+            raise ValueError(f"corpus token {flat[bad[0]]} outside [0, {num_tokens})")
+        if flat.size == 0:
             raise ValueError("bigram model has no counts; fit it on a corpus first")
+        flat = flat.astype(np.int64)
+        # Adjacent pairs, minus those that straddle two sequences.
+        ends = np.cumsum([len(seq) for seq in sequences])
+        within = np.ones(flat.size - 1, dtype=bool)
+        within[ends[(ends > 0) & (ends < flat.size)] - 1] = False
+        pairs = flat[:-1][within] * num_tokens + flat[1:][within]
+        counts = np.bincount(pairs, minlength=num_tokens * num_tokens).reshape(num_tokens, num_tokens)
+        token_counts = np.bincount(flat, minlength=num_tokens)
         return cls(num_tokens=num_tokens, counts=counts, token_counts=token_counts)
 
     def next_probs(self, token: int) -> np.ndarray:

@@ -77,9 +77,6 @@ class DiffusionState:
     def masked(self) -> np.ndarray:
         return self.tokens == self.vocab.mask_id
 
-    def masked_count(self) -> int:
-        return int(self.masked().sum())
-
     def copy(self) -> "DiffusionState":
         override = None
         if self.embedding_override is not None:

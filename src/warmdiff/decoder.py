@@ -75,13 +75,10 @@ class DecodeTrace:
     capped: bool = False
 
 
-def confidences(pi: np.ndarray, state: DiffusionState) -> np.ndarray:
-    """Per-position confidence: max probability at masked positions, the
-    current token's probability at fixed ones."""
-    conf = pi.max(axis=1)
-    fixed = np.flatnonzero(~state.masked())
-    conf[fixed] = pi[fixed, state.tokens[fixed]]
-    return conf
+def confidences(pi: np.ndarray) -> np.ndarray:
+    """Per-row confidence: the max probability. Decoding reads it at masked
+    rows only."""
+    return pi.max(axis=1)
 
 
 def select_unmask(conf: np.ndarray, masked: np.ndarray, tau: float) -> np.ndarray:
@@ -132,11 +129,11 @@ def decode(
 ) -> tuple[np.ndarray, DecodeTrace]:
     """Run the full inference loop from a warm-started (or all-mask) state.
 
-    Per iteration k = 1, 2, ...: call the denoiser (one NFE), softmax the
-    logits, unmask via the strict-tau rule, then (if enabled) remask
-    still-injected positions using the same probability matrix. Stops when
-    nothing is masked; if the k_max cap is hit first, the trace is flagged
-    "capped" instead of raising.
+    Per iteration k = 1, 2, ...: call the denoiser (one NFE) for the rows
+    the iteration reads, softmax them, unmask via the strict-tau rule, then
+    (if enabled) remask still-injected positions using the same probability
+    rows. Stops when nothing is masked; if the k_max cap is hit first, the
+    trace is flagged "capped" instead of raising.
 
     The embedding override is visible to the denoiser on every iteration
     under "while-masked" persistence, and only on the first under
@@ -159,18 +156,26 @@ def decode(
         if wcfg.override_persistence == "first-iteration" and k > 1:
             state.embedding_override = None
 
-        logits = denoiser(state, ctx)
-        pi = softmax(logits)
-        conf = confidences(pi, state)
-        chosen = select_unmask(conf, masked, dcfg.tau)
-        tokens = pi[chosen].argmax(axis=1)
-        unmasked = [(int(p), int(t), float(conf[p])) for p, t in zip(chosen, tokens)]
+        # Live rows: the masked positions, plus the injected ones whose
+        # current-token probability remasking reads. Row i of pi is position
+        # rows[i]; rows ascend, so row order breaks ties like position order.
+        live, eligible = masked, None
+        if dcfg.remask_enabled and state.injected:
+            eligible = np.array(sorted(state.injected), dtype=np.int64)
+            live = masked.copy()
+            live[eligible] = True
+        rows = np.flatnonzero(live)
+        pi = softmax(denoiser(state, ctx, rows))
+        conf = confidences(pi)
+        picked = select_unmask(conf, masked[rows], dcfg.tau)
+        chosen = rows[picked]
+        tokens = pi[picked].argmax(axis=1)
+        unmasked = [(int(p), int(t), float(c)) for p, t, c in zip(chosen, tokens, conf[picked])]
         state.tokens[chosen] = tokens
 
         remasked: list[tuple[int, float]] = []
-        if dcfg.remask_enabled and state.injected:
-            eligible = np.array(sorted(state.injected), dtype=np.int64)
-            c_bar = pi[eligible, state.tokens[eligible]]
+        if eligible is not None:
+            c_bar = pi[np.searchsorted(rows, eligible), state.tokens[eligible]]
             rates = remask_rates(c_bar, k, dcfg.b0, dcfg.lam)
             remasked = apply_remask(state, eligible, rates, rng, k)
 

@@ -1,10 +1,16 @@
 """Synthetic reverse models standing in for a trained mask predictor.
 
-Both models return a full n x V logit matrix on every call, fixed positions
-included, because remasking needs the probability of each currently fixed
-token. A denoiser is a callable `(state, ctx) -> logits`, deterministic given
-its inputs; `prepare` checks a run's inputs once and builds its context,
-precomputing what stays constant over the run.
+A denoiser is a callable `(state, ctx, rows) -> len(rows) x V logits`,
+deterministic given its inputs. `rows` is an ascending int64 array of
+positions, or None for all n of them. The decoder asks only for the rows it
+reads: the masked positions, plus the still-injected ones when remasking
+needs the probability of their current token. Quantities that depend on
+the whole sequence (the revealed fraction, credulous flips, nearest revealed
+neighbours) are computed over all n positions first, and each requested row
+is then built by the same elementwise operations as in the full matrix, so
+its bytes do not depend on which other rows were asked for. `prepare` checks
+a run's inputs once and builds its context, precomputing what stays
+constant over the run.
 """
 
 from __future__ import annotations
@@ -135,7 +141,7 @@ def prepare(kind: str, target, params, init: DiffusionState, table: EmbeddingTab
     return noisy_oracle_logits, DenoiseContext(target=ctx.target, params=params, bonus=np.array(bonus))
 
 
-def noisy_oracle_logits(state: DiffusionState, ctx: DenoiseContext) -> np.ndarray:
+def noisy_oracle_logits(state: DiffusionState, ctx: DenoiseContext, rows: np.ndarray | None = None) -> np.ndarray:
     """Logits from the context-gain oracle.
 
     Per-position confidence is c = min(c_max, c0 + gamma * f) where f is the
@@ -145,7 +151,8 @@ def noisy_oracle_logits(state: DiffusionState, ctx: DenoiseContext) -> np.ndarra
     eta * (cos(override, Emb(target)) - cos(mask_vec, Emb(target))), the
     context's bonus, clipped into [0, c_max]. The intended token gets
     probability c, the remaining mass is uniform over the other V-1 tokens,
-    and logits are exact logs of that distribution (floored at 1e-12).
+    and logits are exact logs of that distribution (floored at 1e-12), one
+    row per entry of `rows`.
     """
     params: NoisyOracleParams = ctx.params
     n = len(state.tokens)
@@ -172,19 +179,22 @@ def noisy_oracle_logits(state: DiffusionState, ctx: DenoiseContext) -> np.ndarra
         flip = 2.0 * wrong_in_window > revealed_in_window
         intended[flip] = (ctx.target[flip] + 1) % V
 
-    pi = np.empty((n, V), dtype=np.float64)
+    if rows is not None:
+        conf, intended = conf[rows], intended[rows]
+    pi = np.empty((len(conf), V), dtype=np.float64)
     pi[:] = ((1.0 - conf) / (V - 1))[:, None]
-    pi[np.arange(n), intended] = conf
+    pi[np.arange(len(conf)), intended] = conf
     return np.log(np.maximum(pi, PROB_FLOOR))
 
 
-def markov_logits(state: DiffusionState, ctx: DenoiseContext) -> np.ndarray:
+def markov_logits(state: DiffusionState, ctx: DenoiseContext, rows: np.ndarray | None = None) -> np.ndarray:
     """Logits from a bigram mixture conditioned on the nearest revealed tokens.
 
     Each row is 0.5 * P(. | nearest revealed token to the left) plus
     0.5 * P_reverse(. | nearest revealed token to the right); a side with no
     revealed token contributes the unigram instead. Fixed positions use the
-    same formula (their own token excluded from "nearest").
+    same formula (their own token excluded from "nearest"). One row per entry
+    of `rows`.
     """
     model: BigramModel = ctx.params
     n = len(state.tokens)
@@ -196,6 +206,8 @@ def markov_logits(state: DiffusionState, ctx: DenoiseContext) -> np.ndarray:
     left = np.maximum.accumulate(np.where(revealed, pos, -1))
     right = np.minimum.accumulate(np.where(revealed, pos, n)[::-1])[::-1]
     tokens = np.append(state.tokens, state.vocab.mask_id)
-    fwd = model.next_table[tokens[np.concatenate(([-1], left[:-1]))]]
-    bwd = model.prev_table[tokens[np.concatenate((right[1:], [n]))]]
-    return np.log(0.5 * fwd + 0.5 * bwd)
+    before = tokens[np.concatenate(([-1], left[:-1]))]
+    after = tokens[np.concatenate((right[1:], [n]))]
+    if rows is not None:
+        before, after = before[rows], after[rows]
+    return np.log(0.5 * model.next_table[before] + 0.5 * model.prev_table[after])

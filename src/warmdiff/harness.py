@@ -420,13 +420,9 @@ def build_resources(cfg: ExperimentConfig) -> RunResources:
             raise ConfigError("this configuration needs corpus.path to be set")
         try:
             corpus = load_corpus(cfg.corpus_path)
+            bigram = BigramModel.fit(corpus, cfg.vocab_size)  # range-checks every token
         except (OSError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
-        for seq in corpus:
-            for tok in seq:
-                if tok < 0 or tok >= cfg.vocab_size:
-                    raise ConfigError(f"corpus token {tok} outside [0, {cfg.vocab_size})")
-        bigram = BigramModel.fit(corpus, cfg.vocab_size)
         if cfg.target_source == "corpus" and not any(len(s) >= cfg.n for s in corpus):
             raise ConfigError(f"corpus has no sequence of length >= n = {cfg.n}")
     return RunResources(table=table, bigram=bigram, corpus=corpus)
@@ -560,10 +556,15 @@ def run_one(
 
 
 def run_experiment(
-    cfg: ExperimentConfig, grid_id: int = 0, collect_traces: bool = False
+    cfg: ExperimentConfig,
+    grid_id: int = 0,
+    collect_traces: bool = False,
+    resources: RunResources | None = None,
 ) -> tuple[MetricsRecord, list[DecodeTrace]]:
-    """All runs for one grid point, in run-index order."""
-    resources = build_resources(cfg)
+    """All runs for one grid point, in run-index order; `resources` defaults
+    to a fresh build_resources(cfg)."""
+    if resources is None:
+        resources = build_resources(cfg)
     record = _record_for(cfg, grid_id)
     traces = []
     for r in range(cfg.num_runs):
@@ -598,9 +599,15 @@ def expand_grid(overrides: dict) -> list[dict]:
 def sweep(overrides: dict) -> list[MetricsRecord]:
     """One MetricsRecord per grid point, grid ids following expansion order."""
     records = []
+    # Of what build_resources reads, only whether the warm-start method is
+    # "none" can differ between the points of one grid.
+    resources: dict[bool, RunResources] = {}
     for grid_id, point in enumerate(expand_grid(overrides)):
         cfg = build_config(point)
-        record, _ = run_experiment(cfg, grid_id=grid_id)
+        cold = cfg.warmstart.method == "none"
+        if cold not in resources:
+            resources[cold] = build_resources(cfg)
+        record, _ = run_experiment(cfg, grid_id=grid_id, resources=resources[cold])
         records.append(record)
     return records
 

@@ -7,6 +7,7 @@ left to right from a fitted bigram model. Proposals never contain mask ids.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,13 +33,6 @@ class Proposal:
 
     def __len__(self) -> int:
         return int(self.tokens.size)
-
-
-def _sample_index(probs: np.ndarray, u: float) -> int:
-    """Inverse-CDF sample: the index whose cumulative bucket contains u."""
-    cdf = np.cumsum(probs)
-    idx = int(np.searchsorted(cdf, u * cdf[-1], side="right"))
-    return min(idx, len(probs) - 1)
 
 
 def propose_corrupted(
@@ -70,7 +64,10 @@ def propose_markov(model: BigramModel, n: int, rng: DeterministicRng) -> Proposa
     if n < 1:
         raise ValueError("proposal length must be >= 1")
     tokens = np.empty(n, dtype=np.int64)
-    prev = model.num_tokens  # the unigram row of next_table
+    last = model.num_tokens - 1
+    prev = model.num_tokens  # the unigram row of next_cdf
     for i in range(n):
-        tokens[i] = prev = _sample_index(model.next_table[prev], rng.draw("proposal-markov", i, 0))
+        # Inverse CDF: the index whose cumulative bucket contains u.
+        cdf = model.next_cdf[prev]
+        tokens[i] = prev = min(bisect_right(cdf, rng.draw("proposal-markov", i, 0) * cdf[-1]), last)
     return Proposal(tokens=tokens, source="markov")

@@ -33,7 +33,7 @@ def reference_decode(denoiser_fn, ctx, init_tokens, vocab, tau, k_max=10_000):
     while any(t == mask for t in tokens) and k < k_max:
         k += 1
         state = DiffusionState(vocab=vocab, tokens=np.array(tokens, dtype=np.int64))
-        logits = denoiser_fn(state, ctx)
+        logits = denoiser_fn(state, ctx, np.arange(len(tokens)))  # every row
         unmask = []
         best = None  # (pos, tok, conf) of the most confident masked position
         for i in range(len(tokens)):

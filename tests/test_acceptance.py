@@ -93,7 +93,7 @@ def test_criterion_1_oracle_equivalence():
 
                     def scripted(arrays):
                         it = iter(arrays)
-                        return lambda state, ctx: next(it)
+                        return lambda state, ctx, rows: next(it)[rows]
 
                     v = Vocabulary(V)
                     ctx = DenoiseContext(target=np.zeros(n, dtype=np.int64), params=None)

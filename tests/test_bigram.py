@@ -2,8 +2,22 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from warmdiff.bigram import BigramModel, load_corpus
+
+
+def loop_fit_counts(sequences, num_tokens):
+    """The per-token counting loop `fit` replaced."""
+    counts = np.zeros((num_tokens, num_tokens), dtype=np.float64)
+    token_counts = np.zeros(num_tokens, dtype=np.float64)
+    for seq in sequences:
+        for tok in seq:
+            token_counts[tok] += 1
+        for a, b in zip(seq, seq[1:]):
+            counts[a, b] += 1
+    return counts, token_counts
 
 
 def test_fit_counts_match_independent_counter():
@@ -18,6 +32,19 @@ def test_fit_counts_match_independent_counter():
         for b in range(3):
             assert model.counts[a, b] == pairs[(a, b)]
         assert model.token_counts[a] == occurrences[a]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_fit_counts_match_the_counting_loop(data):
+    V = data.draw(st.integers(2, 9))
+    seqs = data.draw(st.lists(st.lists(st.integers(0, V - 1), max_size=12), max_size=6))
+    if not any(seqs):
+        seqs.append([data.draw(st.integers(0, V - 1))])
+    model = BigramModel.fit(seqs, V)
+    counts, token_counts = loop_fit_counts(seqs, V)
+    assert model.counts.tobytes() == counts.tobytes()
+    assert model.token_counts.tobytes() == token_counts.tobytes()
 
 
 def test_smoothed_next_probs_match_hand_formula():
@@ -38,6 +65,16 @@ def test_unfitted_model_rejected():
 def test_out_of_range_corpus_token_rejected():
     with pytest.raises(ValueError):
         BigramModel.fit([[0, 5]], 3)
+
+
+@pytest.mark.parametrize(
+    "seqs, first",
+    [([[0, 1], [2, -1, 7]], -1), ([[], [1, 3], [4]], 3), ([[0, 10**30, -1]], 10**30)],
+)
+def test_out_of_range_message_names_the_first_offending_token(seqs, first):
+    """In corpus order, even a token beyond 64-bit range."""
+    with pytest.raises(ValueError, match=rf"^corpus token {first} outside \[0, 3\)$"):
+        BigramModel.fit(seqs, 3)
 
 
 def test_distributions_are_normalized():

@@ -32,7 +32,7 @@ class TestAllMaskInit:
         assert state.tokens.tolist() == [4, 4, 4, 4]
         assert state.injected == set()
         assert state.embedding_override is None
-        assert state.masked_count() == 4
+        assert int(state.masked().sum()) == 4
 
     def test_smallest_legal_state(self):
         state = all_mask_init(Vocabulary(2), 1)

@@ -4,7 +4,9 @@ The reference functions below are the straightforward form of both
 denoisers: the oracle's embedding bonus recomputed per masked position on
 every call, and the bigram mixture read row by row from the smoothing
 formulas with left/right scans in Python. `prepare` + the library denoisers
-must give the same logit bytes on every input.
+must give the same logit bytes on every input, for all rows and for any
+subset of them. The markov proposer must draw what a per-row inverse-CDF
+sampler draws.
 """
 
 import numpy as np
@@ -16,7 +18,7 @@ from warmdiff.bigram import BigramModel
 from warmdiff.core import DeterministicRng, DiffusionState, EmbeddingTable, Vocabulary, all_mask_init
 from warmdiff.decoder import DecodeConfig, decode
 from warmdiff.denoiser import NoisyOracleParams, markov_logits, noisy_oracle_logits, prepare
-from warmdiff.proposal import _sample_index, propose_markov
+from warmdiff.proposal import propose_markov
 from warmdiff.warmstart import WarmStartConfig
 
 FLOOR = 1e-12
@@ -61,6 +63,13 @@ def reference_oracle(state, target, params, table):
     return np.log(np.maximum(pi, FLOOR))
 
 
+def reference_sample_index(probs, u):
+    """Inverse-CDF sample: the index whose cumulative bucket contains u."""
+    cdf = np.cumsum(probs)
+    idx = int(np.searchsorted(cdf, u * cdf[-1], side="right"))
+    return min(idx, len(probs) - 1)
+
+
 def reference_markov(state, model):
     n, mask = len(state.tokens), state.vocab.mask_id
     rows = np.empty((n, model.num_tokens), dtype=np.float64)
@@ -99,6 +108,11 @@ def problems(draw):
     return state, target, table
 
 
+def row_subsets(n):
+    """Ascending int64 positions, as decode passes them; possibly empty."""
+    return st.sets(st.integers(0, n - 1)).map(lambda rows: np.array(sorted(rows), dtype=np.int64))
+
+
 @st.composite
 def oracle_params(draw):
     c0 = draw(st.floats(0.0, 1.0))
@@ -127,12 +141,15 @@ def bigram_models(draw, V):
 
 
 @settings(max_examples=300, deadline=None)
-@given(problems(), oracle_params())
-def test_oracle_matches_per_position_loop(problem, params):
+@given(problems(), oracle_params(), st.data())
+def test_oracle_matches_per_position_loop(problem, params, data):
     state, target, table = problem
     denoiser, ctx = prepare("noisy-oracle", target, params, state, table)
     assert denoiser is noisy_oracle_logits
-    assert denoiser(state, ctx).tobytes() == reference_oracle(state, target, params, table).tobytes()
+    expected = reference_oracle(state, target, params, table)
+    assert denoiser(state, ctx).tobytes() == expected.tobytes()
+    rows = data.draw(row_subsets(len(target)))
+    assert denoiser(state, ctx, rows).tobytes() == expected[rows].tobytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -146,9 +163,9 @@ def test_oracle_matches_loop_through_decode(problem, params, persistence):
     _, ctx = prepare("noisy-oracle", target, params, init, table)
     seen = []
 
-    def checked(state, ctx):
-        out = noisy_oracle_logits(state, ctx)
-        assert out.tobytes() == reference_oracle(state, target, params, table).tobytes()
+    def checked(state, ctx, rows):
+        out = noisy_oracle_logits(state, ctx, rows)
+        assert out.tobytes() == reference_oracle(state, target, params, table)[rows].tobytes()
         seen.append(state.embedding_override is not None)
         return out
 
@@ -169,7 +186,10 @@ def test_markov_matches_per_position_loop(data):
     model = data.draw(bigram_models(state.vocab.size))
     denoiser, ctx = prepare("markov", target, model, state)
     assert denoiser is markov_logits
-    assert denoiser(state, ctx).tobytes() == reference_markov(state, model).tobytes()
+    expected = reference_markov(state, model)
+    assert denoiser(state, ctx).tobytes() == expected.tobytes()
+    rows = data.draw(row_subsets(len(target)))
+    assert denoiser(state, ctx, rows).tobytes() == expected[rows].tobytes()
 
 
 @pytest.mark.parametrize("tokens", [[3, 3, 3, 3], [0, 3, 3, 3], [3, 3, 3, 2], [1, 3, 3, 0], [2]])
@@ -197,10 +217,42 @@ def test_markov_proposal_matches_row_queries(data, n, seed):
     V = data.draw(st.integers(2, 6))
     model = data.draw(bigram_models(V))
     rng = DeterministicRng(seed)
-    expected = [_sample_index(model.unigram(), rng.draw("proposal-markov", 0, 0))]
+    expected = [reference_sample_index(model.unigram(), rng.draw("proposal-markov", 0, 0))]
     for i in range(1, n):
-        expected.append(_sample_index(model.next_probs(expected[-1]), rng.draw("proposal-markov", i, 0)))
+        expected.append(reference_sample_index(model.next_probs(expected[-1]), rng.draw("proposal-markov", i, 0)))
     assert propose_markov(model, n, rng).tokens.tolist() == expected
+
+
+class ScriptedRng:
+    """Returns the given uniforms in order, whatever the address."""
+
+    def __init__(self, uniforms):
+        self.uniforms = iter(uniforms)
+
+    def draw(self, purpose, position, iteration):
+        return next(self.uniforms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_markov_proposal_at_the_ends_of_the_unit_interval_and_on_cdf_ties(data):
+    """u = 0, u = 1 (a 64-bit draw can round up to it), just below 1, and
+    counts so uneven that the smallest probabilities leave the running sum
+    unchanged, so the CDF holds tied entries."""
+    V = data.draw(st.integers(2, 6))
+    if data.draw(st.booleans()):
+        model = data.draw(bigram_models(V))
+    else:
+        scale = st.sampled_from([0.0, 1.0, 1e17, 1e300])
+        counts = np.array(data.draw(st.lists(scale, min_size=V * V, max_size=V * V))).reshape(V, V)
+        counts[0, 0] += 1.0
+        model = BigramModel(V, counts, np.array(data.draw(st.lists(scale, min_size=V, max_size=V))))
+    edge = st.sampled_from([0.0, 1.0, float(np.nextafter(1.0, 0.0)), 0.5])
+    uniforms = data.draw(st.lists(st.one_of(edge, st.floats(0.0, 1.0)), min_size=1, max_size=10))
+    expected = [reference_sample_index(model.unigram(), uniforms[0])]
+    for u in uniforms[1:]:
+        expected.append(reference_sample_index(model.next_probs(expected[-1]), u))
+    assert propose_markov(model, len(uniforms), ScriptedRng(uniforms)).tokens.tolist() == expected
 
 
 # Each check the denoisers used to run on every call now runs once, in prepare.

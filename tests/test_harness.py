@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from warmdiff import harness
 from warmdiff.harness import (
     CSV_COLUMNS,
     ConfigError,
@@ -191,9 +192,9 @@ class TestRunOne:
 
     def test_corpus_token_out_of_range_rejected(self, tmp_path):
         path = tmp_path / "c.txt"
-        path.write_text("0 9\n", encoding="utf-8")
+        path.write_text("0 1\n0 9 2 -1\n", encoding="utf-8")
         cfg = build_config({"vocab_size": 4, "denoiser.kind": "markov", "corpus.path": str(path)})
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"^corpus token 9 outside \[0, 4\)$"):
             build_resources(cfg)
 
     def test_markov_end_to_end(self, tmp_path):
@@ -263,6 +264,24 @@ class TestSweep:
     def test_mean_nfe_bounded_by_n_without_remask(self):
         for rec in sweep(self.grid()):
             assert rec.mean_nfe <= 8
+
+    @pytest.mark.parametrize("methods, builds", [("token-injection", 1), (["none", "token-injection"], 2)])
+    def test_resources_built_once_per_distinct_input(self, tmp_path, monkeypatch, methods, builds):
+        """A markov proposer reads the corpus only for a warm start, so a grid
+        mixing "none" in needs a second build; the CSV is that of building
+        per point."""
+        path = tmp_path / "c.txt"
+        path.write_text("0 1 2 3 0 1 2 3 0 1 2 3\n2 3 0 1 2 3 0 1\n", encoding="utf-8")
+        grid = {
+            "n": 6, "vocab_size": 4, "num_runs": 2, "corpus.path": str(path),
+            "proposer.kind": "markov", "warmstart.method": methods,
+            "warmstart.rho": [0.25, 0.75], "decode.tau": [0.5, 0.9],
+        }
+        per_point = [run_experiment(build_config(p), grid_id=g)[0] for g, p in enumerate(expand_grid(grid))]
+        built = []
+        monkeypatch.setattr(harness, "build_resources", lambda cfg: built.append(cfg) or build_resources(cfg))
+        assert csv_lines(sweep(grid)) == csv_lines(per_point)
+        assert len(built) == builds
 
 
 class TestAggregates:

@@ -14,7 +14,7 @@ class TestInjectTokens:
     def test_zero_rate_is_all_mask(self):
         v = Vocabulary(4)
         state = inject_tokens(v, make_proposal([0, 1, 2, 3]), 0.0, DeterministicRng(1))
-        assert state.masked_count() == 4
+        assert int(state.masked().sum()) == 4
         assert state.injected == set()
 
     def test_unit_rate_copies_proposal(self):
@@ -110,7 +110,7 @@ class TestWarmInit:
     def test_interpolation_keeps_discrete_state_masked(self):
         cfg = WarmStartConfig(method="embedding-interpolation", rho=0.5, alpha=0.6)
         state = warm_init(self.v, self.prop, self.table, cfg, DeterministicRng(22))
-        assert state.masked_count() == 5
+        assert int(state.masked().sum()) == 5
         assert state.injected == set()
         assert state.embedding_override is not None
         assert state.embedding_override.shape == (5, 3)
