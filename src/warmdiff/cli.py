@@ -1,6 +1,7 @@
 """Command-line interface: run, sweep, validate.
 
-Exit codes: 0 success, 1 config error, 2 runtime invariant violation.
+Exit codes: 0 success, 1 config error or an output file that cannot be
+written, 2 runtime invariant violation.
 """
 
 from __future__ import annotations
@@ -22,13 +23,20 @@ from .harness import (
 )
 
 
+class _OutputError(Exception):
+    """An output file could not be written."""
+
+
 def _write_lines(path: str | None, lines: list[str]):
     text = "\n".join(lines) + "\n"
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="") as f:
             f.write(text)
+    except OSError as exc:
+        raise _OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _cmd_run(args) -> int:
@@ -99,6 +107,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except _OutputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)

@@ -109,10 +109,6 @@ class EmbeddingTable:
         return self.rows.shape[0] - 1
 
     @property
-    def dim(self) -> int:
-        return self.rows.shape[1]
-
-    @property
     def mask_id(self) -> int:
         return self.num_tokens
 

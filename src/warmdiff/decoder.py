@@ -126,8 +126,9 @@ def decode(
     dcfg: DecodeConfig,
     wcfg: WarmStartConfig,
     rng: DeterministicRng,
-) -> tuple[np.ndarray, DecodeTrace]:
-    """Run the full inference loop from a warm-started (or all-mask) state.
+) -> DecodeTrace:
+    """Run the full inference loop from a warm-started (or all-mask) state;
+    the trace holds the final tokens.
 
     Per iteration k = 1, 2, ...: call the denoiser (one NFE) for the rows
     the iteration reads, softmax them, unmask via the strict-tau rule, then
@@ -186,5 +187,5 @@ def decode(
 
     trace.nfe = len(trace.iterations)
     trace.capped = bool(masked.any())
-    trace.final_tokens = state.tokens.copy()
-    return state.tokens.copy(), trace
+    trace.final_tokens = state.tokens
+    return trace

@@ -11,7 +11,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -59,56 +61,35 @@ class InvariantViolation(RuntimeError):
 # ---------------------------------------------------------------------------
 # Configuration schema
 
-_DEFAULTS = {
-    "n": 16,
-    "vocab_size": 16,
-    "embed_dim": 8,
-    "num_runs": 20,
-    "seed": 0,
-    "target_source": "uniform",
-    "corpus.path": "",
-    "denoiser.kind": "noisy-oracle",
-    "denoiser.c0": 0.4,
-    "denoiser.gamma": 0.6,
-    "denoiser.eta": 0.0,
-    "denoiser.c_max": 0.99,
-    "denoiser.mode": "faithful",
-    "denoiser.window": 3,
-    "proposer.kind": "corrupted-oracle",
-    "proposer.epsilon": 0.0,
-    "warmstart.method": "none",
-    "warmstart.rho": 0.25,
-    "warmstart.alpha": 0.6,
-    "warmstart.override_persistence": "while-masked",
-    "decode.tau": 0.9,
-    "decode.remask_enabled": False,
-    "decode.b0": 0.5,
-    "decode.lambda": 0.05,
-    "decode.k_max": 0,  # 0 means "auto": resolved to 2 * n
-}
-
-_INT_KEYS = {"n", "vocab_size", "embed_dim", "num_runs", "seed", "denoiser.window", "decode.k_max"}
-_FLOAT_KEYS = {
-    "denoiser.c0",
-    "denoiser.gamma",
-    "denoiser.eta",
-    "denoiser.c_max",
-    "proposer.epsilon",
-    "warmstart.rho",
-    "warmstart.alpha",
-    "decode.tau",
-    "decode.b0",
-    "decode.lambda",
-}
-_BOOL_KEYS = {"decode.remask_enabled"}
-_STR_KEYS = {
-    "target_source",
-    "corpus.path",
-    "denoiser.kind",
-    "denoiser.mode",
-    "proposer.kind",
-    "warmstart.method",
-    "warmstart.override_persistence",
+# One row per config key: its type, its default, and the ExperimentConfig
+# attribute that holds the resolved value. Row order is the canonical key
+# order of config_to_dict, and so of every trace header.
+SCHEMA = {
+    "n": (int, 16, "n"),
+    "vocab_size": (int, 16, "vocab_size"),
+    "embed_dim": (int, 8, "embed_dim"),
+    "num_runs": (int, 20, "num_runs"),
+    "seed": (int, 0, "seed"),
+    "target_source": (str, "uniform", "target_source"),
+    "corpus.path": (str, "", "corpus_path"),
+    "denoiser.kind": (str, "noisy-oracle", "denoiser_kind"),
+    "denoiser.c0": (float, 0.4, "oracle.c0"),
+    "denoiser.gamma": (float, 0.6, "oracle.gamma"),
+    "denoiser.eta": (float, 0.0, "oracle.eta"),
+    "denoiser.c_max": (float, 0.99, "oracle.c_max"),
+    "denoiser.mode": (str, "faithful", "oracle.mode"),
+    "denoiser.window": (int, 3, "oracle.window"),
+    "proposer.kind": (str, "corrupted-oracle", "proposer_kind"),
+    "proposer.epsilon": (float, 0.0, "epsilon"),
+    "warmstart.method": (str, "none", "warmstart.method"),
+    "warmstart.rho": (float, 0.25, "warmstart.rho"),
+    "warmstart.alpha": (float, 0.6, "warmstart.alpha"),
+    "warmstart.override_persistence": (str, "while-masked", "warmstart.override_persistence"),
+    "decode.tau": (float, 0.9, "decode.tau"),
+    "decode.remask_enabled": (bool, False, "decode.remask_enabled"),
+    "decode.b0": (float, 0.5, "decode.b0"),
+    "decode.lambda": (float, 0.05, "decode.lam"),
+    "decode.k_max": (int, 0, "decode.k_max"),  # 0 means "auto": resolved to 2 * n
 }
 
 # Dimensions a sweep grid may vary, in the canonical expansion order.
@@ -122,40 +103,25 @@ SWEEP_ORDER = [
     "decode.lambda",
 ]
 
-CSV_COLUMNS = [
-    "grid_id",
-    "method",
-    "rho",
-    "alpha",
-    "epsilon",
-    "tau",
-    "b0",
-    "lambda",
-    "run",
-    "seed",
-    "nfe",
-    "exact_match",
-    "token_acc",
-    "capped",
-]
 
-
-def _strip_comment(line: str) -> str:
-    out = []
+def _split_unquoted(text: str, sep: str) -> list[str]:
+    """Split `text` at every `sep` outside single or double quotes."""
+    parts = []
+    buf = []
     quote = None
-    for ch in line:
+    for ch in text:
         if quote:
-            out.append(ch)
             if ch == quote:
                 quote = None
         elif ch in "\"'":
             quote = ch
-            out.append(ch)
-        elif ch == "#":
-            break
-        else:
-            out.append(ch)
-    return "".join(out)
+        elif ch == sep:
+            parts.append("".join(buf))
+            buf = []
+            continue
+        buf.append(ch)
+    parts.append("".join(buf))
+    return parts
 
 
 def _parse_scalar(token: str, key: str):
@@ -178,27 +144,17 @@ def _parse_scalar(token: str, key: str):
 
 
 def _coerce(key: str, value):
-    if key in _BOOL_KEYS:
-        if not isinstance(value, bool):
-            raise ConfigError(f"{key} expects true or false, got {value!r}")
-        return value
-    if key in _INT_KEYS:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{key} expects an integer, got {value!r}")
-        if isinstance(value, float):
-            if not value.is_integer():
-                raise ConfigError(f"{key} expects an integer, got {value!r}")
-            value = int(value)
+    kind = SCHEMA[key][0]
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is int and number and (isinstance(value, int) or value.is_integer()):
         return int(value)
-    if key in _FLOAT_KEYS:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{key} expects a number, got {value!r}")
+    # Compared exactly, so nan, infinities and ints too large for a float fail.
+    if kind is float and number and abs(value) <= sys.float_info.max:
         return float(value)
-    if key in _STR_KEYS:
-        if not isinstance(value, str):
-            raise ConfigError(f"{key} expects a string, got {value!r}")
+    if kind in (bool, str) and isinstance(value, kind):
         return value
-    raise ConfigError(f"unknown config key {key!r}")
+    expected = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string"}[kind]
+    raise ConfigError(f"{key} expects {expected}, got {value!r}")
 
 
 def parse_config_text(text: str, allow_sweep_lists: bool = False) -> dict:
@@ -209,18 +165,18 @@ def parse_config_text(text: str, allow_sweep_lists: bool = False) -> dict:
     """
     overrides: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
+        line = _split_unquoted(raw, "#")[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected `key = value`, got {raw.strip()!r}")
         key, _, value_part = line.partition("=")
         key = key.strip()
-        if key not in _DEFAULTS:
+        if key not in SCHEMA:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         if key in overrides:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        parts = _split_commas(value_part)
+        parts = _split_unquoted(value_part, ",")
         if len(parts) > 1:
             if not (allow_sweep_lists and key in SWEEP_ORDER):
                 raise ConfigError(f"line {lineno}: key {key!r} does not accept a value list")
@@ -228,27 +184,6 @@ def parse_config_text(text: str, allow_sweep_lists: bool = False) -> dict:
         else:
             overrides[key] = _parse_scalar(parts[0], key)
     return overrides
-
-
-def _split_commas(text: str) -> list[str]:
-    parts = []
-    buf = []
-    quote = None
-    for ch in text:
-        if quote:
-            buf.append(ch)
-            if ch == quote:
-                quote = None
-        elif ch in "\"'":
-            quote = ch
-            buf.append(ch)
-        elif ch == ",":
-            parts.append("".join(buf))
-            buf = []
-        else:
-            buf.append(ch)
-    parts.append("".join(buf))
-    return parts
 
 
 def load_config(path: str) -> "ExperimentConfig":
@@ -264,7 +199,7 @@ def _read_overrides(path: str, allow_sweep_lists: bool) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as f:
             text = f.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return parse_config_text(text, allow_sweep_lists=allow_sweep_lists)
 
@@ -291,9 +226,9 @@ class ExperimentConfig:
 
 def build_config(overrides: dict) -> ExperimentConfig:
     """Defaults plus overrides, validated into an ExperimentConfig."""
-    values = dict(_DEFAULTS)
+    values = {key: default for key, (_, default, _) in SCHEMA.items()}
     for key, value in overrides.items():
-        if key not in values:
+        if key not in SCHEMA:
             raise ConfigError(f"unknown config key {key!r}")
         if isinstance(value, list):
             raise ConfigError(f"key {key!r} holds a value list; expand the grid first")
@@ -316,83 +251,34 @@ def build_config(overrides: dict) -> ExperimentConfig:
         raise ConfigError("proposer.kind must be 'corrupted-oracle' or 'markov'")
     if not 0.0 <= values["proposer.epsilon"] <= 1.0:
         raise ConfigError("proposer.epsilon must be in [0, 1]")
-    k_max = values["decode.k_max"]
-    if k_max == 0:
-        k_max = 2 * n
-    elif k_max < 1:
+    if values["decode.k_max"] == 0:
+        values["decode.k_max"] = 2 * n
+    elif values["decode.k_max"] < 1:
         raise ConfigError("decode.k_max must be positive (or 0 for the 2n default)")
 
+    # Keyword arguments per constructor, named by the attribute path: "" is
+    # ExperimentConfig itself, the others its nested configs.
+    kwargs: dict[str, dict] = {"": {}, "oracle": {}, "warmstart": {}, "decode": {}}
+    for key, (_, _, attr) in SCHEMA.items():
+        owner, _, name = attr.rpartition(".")
+        kwargs[owner][name] = values[key]
     try:
-        oracle = NoisyOracleParams(
-            c0=values["denoiser.c0"],
-            gamma=values["denoiser.gamma"],
-            eta=values["denoiser.eta"],
-            c_max=values["denoiser.c_max"],
-            mode=values["denoiser.mode"],
-            window=values["denoiser.window"],
-        )
-        warmstart = WarmStartConfig(
-            method=values["warmstart.method"],
-            rho=values["warmstart.rho"],
-            alpha=values["warmstart.alpha"],
-            override_persistence=values["warmstart.override_persistence"],
-        )
-        dec = DecodeConfig(
-            tau=values["decode.tau"],
-            remask_enabled=values["decode.remask_enabled"],
-            b0=values["decode.b0"],
-            lam=values["decode.lambda"],
-            k_max=k_max,
+        return ExperimentConfig(
+            **kwargs[""],
+            oracle=NoisyOracleParams(**kwargs["oracle"]),
+            warmstart=WarmStartConfig(**kwargs["warmstart"]),
+            decode=DecodeConfig(**kwargs["decode"]),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    return ExperimentConfig(
-        n=n,
-        vocab_size=values["vocab_size"],
-        embed_dim=values["embed_dim"],
-        num_runs=values["num_runs"],
-        seed=values["seed"],
-        target_source=values["target_source"],
-        corpus_path=values["corpus.path"],
-        denoiser_kind=values["denoiser.kind"],
-        oracle=oracle,
-        proposer_kind=values["proposer.kind"],
-        epsilon=values["proposer.epsilon"],
-        warmstart=warmstart,
-        decode=dec,
-    )
+
+_resolved_values = attrgetter(*(attr for _, _, attr in SCHEMA.values()))
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """Fully resolved flat key/value view, in canonical key order."""
-    return {
-        "n": cfg.n,
-        "vocab_size": cfg.vocab_size,
-        "embed_dim": cfg.embed_dim,
-        "num_runs": cfg.num_runs,
-        "seed": cfg.seed,
-        "target_source": cfg.target_source,
-        "corpus.path": cfg.corpus_path,
-        "denoiser.kind": cfg.denoiser_kind,
-        "denoiser.c0": cfg.oracle.c0,
-        "denoiser.gamma": cfg.oracle.gamma,
-        "denoiser.eta": cfg.oracle.eta,
-        "denoiser.c_max": cfg.oracle.c_max,
-        "denoiser.mode": cfg.oracle.mode,
-        "denoiser.window": cfg.oracle.window,
-        "proposer.kind": cfg.proposer_kind,
-        "proposer.epsilon": cfg.epsilon,
-        "warmstart.method": cfg.warmstart.method,
-        "warmstart.rho": cfg.warmstart.rho,
-        "warmstart.alpha": cfg.warmstart.alpha,
-        "warmstart.override_persistence": cfg.warmstart.override_persistence,
-        "decode.tau": cfg.decode.tau,
-        "decode.remask_enabled": cfg.decode.remask_enabled,
-        "decode.b0": cfg.decode.b0,
-        "decode.lambda": cfg.decode.lam,
-        "decode.k_max": cfg.decode.k_max,
-    }
+    return dict(zip(SCHEMA, _resolved_values(cfg)))
 
 
 # ---------------------------------------------------------------------------
@@ -501,17 +387,14 @@ class MetricsRecord:
         return sum(r.capped for r in self.runs)
 
 
+# Per sweep key: the ExperimentConfig value and the MetricsRecord field
+# ("decode.lambda" -> cfg.decode.lam -> lam).
+_sweep_values = attrgetter(*(SCHEMA[key][2] for key in SWEEP_ORDER))
+_SWEEP_FIELDS = [SCHEMA[key][2].rpartition(".")[2] for key in SWEEP_ORDER]
+
+
 def _record_for(cfg: ExperimentConfig, grid_id: int) -> MetricsRecord:
-    return MetricsRecord(
-        grid_id=grid_id,
-        method=cfg.warmstart.method,
-        rho=cfg.warmstart.rho,
-        alpha=cfg.warmstart.alpha,
-        epsilon=cfg.epsilon,
-        tau=cfg.decode.tau,
-        b0=cfg.decode.b0,
-        lam=cfg.decode.lam,
-    )
+    return MetricsRecord(grid_id=grid_id, **dict(zip(_SWEEP_FIELDS, _sweep_values(cfg))))
 
 
 # ---------------------------------------------------------------------------
@@ -543,13 +426,13 @@ def run_one(
 
     params = cfg.oracle if cfg.denoiser_kind == "noisy-oracle" else resources.bigram
     denoiser, ctx = prepare(cfg.denoiser_kind, target, params, init, resources.table)
-    out, trace = decode(denoiser, ctx, init, cfg.decode, cfg.warmstart, rng)
+    trace = decode(denoiser, ctx, init, cfg.decode, cfg.warmstart, rng)
     result = RunResult(
         run=run_index,
         seed=run_seed,
         nfe=trace.nfe,
-        exact_match=exact_match(out, target),
-        token_acc=token_accuracy(out, target),
+        exact_match=exact_match(trace.final_tokens, target),
+        token_acc=token_accuracy(trace.final_tokens, target),
         capped=trace.capped,
     )
     return result, trace, init
@@ -623,31 +506,20 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# A row is the grid point (its id, then the sweep keys in SWEEP_ORDER, each
+# named by its last key part) followed by the RunResult fields.
+_RUN_FIELDS = [f.name for f in fields(RunResult)]
+CSV_COLUMNS = ["grid_id", *(key.rpartition(".")[2] for key in SWEEP_ORDER), *_RUN_FIELDS]
+_point_columns = attrgetter("grid_id", *_SWEEP_FIELDS)
+_run_columns = attrgetter(*_RUN_FIELDS)
+
+
 def csv_lines(records: list[MetricsRecord]) -> list[str]:
     lines = [",".join(CSV_COLUMNS)]
     for rec in records:
+        point = _point_columns(rec)
         for run in rec.runs:
-            lines.append(
-                ",".join(
-                    _fmt(v)
-                    for v in (
-                        rec.grid_id,
-                        rec.method,
-                        rec.rho,
-                        rec.alpha,
-                        rec.epsilon,
-                        rec.tau,
-                        rec.b0,
-                        rec.lam,
-                        run.run,
-                        run.seed,
-                        run.nfe,
-                        run.exact_match,
-                        run.token_acc,
-                        run.capped,
-                    )
-                )
-            )
+            lines.append(",".join(map(_fmt, point + _run_columns(run))))
     return lines
 
 

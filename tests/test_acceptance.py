@@ -97,7 +97,7 @@ def test_criterion_1_oracle_equivalence():
 
                     v = Vocabulary(V)
                     ctx = DenoiseContext(target=np.zeros(n, dtype=np.int64), params=None)
-                    out, trace = decode(
+                    trace = decode(
                         scripted(script), ctx, all_mask_init(v, n),
                         DecodeConfig(tau=tau, k_max=2 * n), WarmStartConfig(),
                         DeterministicRng(0),
@@ -105,7 +105,7 @@ def test_criterion_1_oracle_equivalence():
                     ref_tokens, ref_records = reference_decode(
                         scripted(script), ctx, all_mask_init(v, n).tokens, v, tau=tau
                     )
-                    assert out.tolist() == ref_tokens
+                    assert trace.final_tokens.tolist() == ref_tokens
                     assert len(trace.iterations) == len(ref_records)
                     for rec, ref in zip(trace.iterations, ref_records):
                         assert rec.k == ref["k"]

@@ -49,6 +49,30 @@ class TestRun:
         assert cli.main(["run", "--config", str(tmp_path / "nope.txt")]) == 1
         capsys.readouterr()
 
+    def test_non_utf8_config_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_bytes(b"n = 8\n# \xff\xfe\n")
+        assert cli.main(["run", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: cannot read config file {cfg}")
+
+    @pytest.mark.parametrize("flag", ["--csv", "--trace"])
+    def test_unwritable_output_exits_one(self, tmp_path, capsys, flag):
+        cfg = write(tmp_path / "cfg.txt", BASIC)
+        target = tmp_path / "missing-dir" / "out.txt"
+        assert cli.main(["run", "--config", cfg, flag, str(target)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: cannot write {target}: No such file or directory"]
+
+    def test_non_finite_eta_exits_one(self, tmp_path, capsys):
+        cfg = write(
+            tmp_path / "cfg.txt",
+            'warmstart.method = "embedding-interpolation"\ndenoiser.eta = inf\n',
+        )
+        assert cli.main(["run", "--config", cfg]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["config error: denoiser.eta expects a finite number, got inf"]
+
 
 class TestSweep:
     GRID = (
@@ -69,6 +93,12 @@ class TestSweep:
         assert cli.main(["sweep", "--grid", grid, "--out", str(out)]) == 0
         assert out.read_text().splitlines()[0] == ",".join(CSV_COLUMNS)
         capsys.readouterr()
+
+    def test_unwritable_out_exits_one(self, tmp_path, capsys):
+        grid = write(tmp_path / "grid.txt", self.GRID)
+        assert cli.main(["sweep", "--grid", grid, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: cannot write {tmp_path}: ")
 
     def test_grid_ids_enumerate_points(self, tmp_path, capsys):
         grid = write(tmp_path / "grid.txt", self.GRID)

@@ -107,25 +107,25 @@ class TestDecode:
         v = Vocabulary(5)
         target = np.array([1, 4, 0, 2, 3, 3])
         ctx = oracle_ctx(target, c0=1.0, c_max=1.0)
-        out, trace = decode(
+        trace = decode(
             noisy_oracle_logits, ctx, all_mask_init(v, 6), DecodeConfig(tau=0.9), BASELINE,
             DeterministicRng(0),
         )
         assert trace.nfe == 1
-        assert out.tolist() == target.tolist()
+        assert trace.final_tokens.tolist() == target.tolist()
         assert not trace.capped
 
     def test_permanently_sub_threshold_unmasks_one_per_iteration(self):
         v = Vocabulary(4)
         target = np.array([0, 1, 2, 3, 0, 1, 2])
         ctx = oracle_ctx(target, c0=0.3, gamma=0.0, c_max=0.3)
-        out, trace = decode(
+        trace = decode(
             noisy_oracle_logits, ctx, all_mask_init(v, 7), DecodeConfig(tau=0.9), BASELINE,
             DeterministicRng(0),
         )
         assert trace.nfe == 7
         assert all(len(rec.unmasked) == 1 for rec in trace.iterations)
-        assert out.tolist() == target.tolist()
+        assert trace.final_tokens.tolist() == target.tolist()
 
     def test_progress_and_bookkeeping_every_iteration(self):
         v = Vocabulary(6)
@@ -135,7 +135,7 @@ class TestDecode:
         prop = Proposal(tokens=target, source="corrupted-oracle")
         init = inject_tokens(v, prop, 0.3, DeterministicRng(6))
         dcfg = DecodeConfig(tau=0.9, remask_enabled=True, b0=0.4, lam=0.08, k_max=48)
-        _, trace = decode(noisy_oracle_logits, ctx, init, dcfg, BASELINE, DeterministicRng(7))
+        trace = decode(noisy_oracle_logits, ctx, init, dcfg, BASELINE, DeterministicRng(7))
         masked = int(init.masked().sum())
         for rec in trace.iterations:
             assert len(rec.unmasked) >= 1
@@ -153,7 +153,7 @@ class TestDecode:
         prop = Proposal(tokens=target, source="corrupted-oracle")
         init = inject_tokens(v, prop, 0.5, DeterministicRng(9))
         dcfg = DecodeConfig(tau=0.95, remask_enabled=True, b0=0.6, lam=0.05, k_max=40)
-        _, trace = decode(noisy_oracle_logits, ctx, init, dcfg, BASELINE, DeterministicRng(10))
+        trace = decode(noisy_oracle_logits, ctx, init, dcfg, BASELINE, DeterministicRng(10))
         remasked = {p for rec in trace.iterations for p, _ in rec.remasked}
         assert remasked <= init.injected
 
@@ -172,13 +172,13 @@ class TestDecode:
         target = np.array([0, 1, 2, 3, 0, 1])
         ctx = oracle_ctx(target, c0=0.3, gamma=0.0, c_max=0.3)
         with pytest.warns(UserWarning):
-            out, trace = decode(
+            trace = decode(
                 noisy_oracle_logits, ctx, all_mask_init(v, 6),
                 DecodeConfig(tau=0.9, k_max=2), BASELINE, DeterministicRng(0),
             )
         assert trace.capped
         assert trace.nfe == 2
-        assert (out == v.mask_id).sum() == 4
+        assert (trace.final_tokens == v.mask_id).sum() == 4
 
     def test_no_warning_when_cap_is_safe(self):
         v = Vocabulary(4)
@@ -230,13 +230,13 @@ class TestDecode:
         target = np.array([0, 1, 2, 3])
         prop = Proposal(tokens=target, source="corrupted-oracle")
         init = inject_tokens(v, prop, 1.0, DeterministicRng(0))
-        out, trace = decode(
+        trace = decode(
             noisy_oracle_logits, oracle_ctx(target), init, DecodeConfig(tau=0.9), BASELINE,
             DeterministicRng(0),
         )
         assert trace.nfe == 0
         assert trace.iterations == []
-        assert out.tolist() == target.tolist()
+        assert trace.final_tokens.tolist() == target.tolist()
         assert not trace.capped
 
 
@@ -256,14 +256,14 @@ class TestScriptedTraceEquivalence:
             return lambda state, ctx, rows: next(it)[rows]
 
         ctx = DenoiseContext(target=np.array([0, 1, 2]), params=None)
-        out, trace = decode(
+        trace = decode(
             scripted(script), ctx, all_mask_init(v, 3), DecodeConfig(tau=0.75), BASELINE,
             DeterministicRng(0),
         )
         ref_tokens, ref_records = reference_decode(
             scripted(script), ctx, all_mask_init(v, 3).tokens, v, tau=0.75
         )
-        assert out.tolist() == ref_tokens
+        assert trace.final_tokens.tolist() == ref_tokens
         assert len(trace.iterations) == len(ref_records)
         for rec, ref in zip(trace.iterations, ref_records):
             assert rec.k == ref["k"]
@@ -292,14 +292,14 @@ class TestScriptedTraceEquivalence:
                 if int(init.masked().sum()) == 0:
                     continue
                 for tau in (0.5, 0.9):
-                    out, trace = decode(
+                    trace = decode(
                         noisy_oracle_logits, ctx, init, DecodeConfig(tau=tau), BASELINE,
                         DeterministicRng(0),
                     )
                     ref_tokens, ref_records = reference_decode(
                         noisy_oracle_logits, ctx, init.tokens, v, tau=tau
                     )
-                    assert out.tolist() == ref_tokens
+                    assert trace.final_tokens.tolist() == ref_tokens
                     assert [
                         [(p, t) for p, t, _ in rec.unmasked] for rec in trace.iterations
                     ] == [[(p, t) for p, t, _ in rec["unmasked"]] for rec in ref_records]

@@ -70,6 +70,44 @@ class TestConfigParsing:
         out = parse_config_text("denoiser.mode = credulous\n")
         assert out == {"denoiser.mode": "credulous"}
 
+    def test_quoted_hash_and_comma_are_kept(self):
+        out = parse_config_text('corpus.path = "a#b,c.txt"  # comment, with a comma\n')
+        assert out == {"corpus.path": "a#b,c.txt"}
+        out = parse_config_text("warmstart.method = 'none', \"token-injection\"  # x\n", allow_sweep_lists=True)
+        assert out == {"warmstart.method": ["none", "token-injection"]}
+
+
+FLOAT_KEYS = [key for key, (kind, _, _) in harness.SCHEMA.items() if kind is float]
+BIG = "9" * 400
+
+
+class TestNumberCoercion:
+    @pytest.mark.parametrize("literal", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_non_finite_float_rejected(self, key, literal):
+        with pytest.raises(ConfigError, match="finite"):
+            parse_config_text(f"{key} = {literal}\n")
+        with pytest.raises(ConfigError, match="finite"):
+            build_config({key: float(literal)})
+
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_integer_too_large_for_a_float_rejected(self, key):
+        for literal in (BIG, "-" + BIG):
+            with pytest.raises(ConfigError, match="finite"):
+                parse_config_text(f"{key} = {literal}\n")
+
+    def test_400_digit_integer_for_an_int_key_is_a_config_error(self):
+        for key in ("n", "num_runs", "decode.k_max"):
+            with pytest.raises(ConfigError):
+                build_config(parse_config_text(f"{key} = -{BIG}\n"))
+        with pytest.raises(ConfigError, match="integer"):
+            parse_config_text(f"num_runs = {BIG}.5\n")  # reads as float inf
+
+    def test_whole_floats_coerce_to_int_and_ints_to_float(self):
+        cfg = build_config(parse_config_text("n = 8.0\ndecode.tau = 1\n"))
+        assert cfg.n == 8 and type(cfg.n) is int
+        assert cfg.decode.tau == 1.0 and type(cfg.decode.tau) is float
+
 
 class TestBuildConfig:
     def test_defaults_resolve(self):

@@ -65,8 +65,8 @@ def full_matrix_decode(denoiser, ctx, init, dcfg, wcfg, rng):
         )
     trace.nfe = len(trace.iterations)
     trace.capped = bool(masked.any())
-    trace.final_tokens = state.tokens.copy()
-    return state.tokens.copy(), trace
+    trace.final_tokens = state.tokens
+    return trace
 
 
 @st.composite
@@ -119,13 +119,13 @@ def trace_bytes(trace):
 def test_live_rows_match_the_full_matrix(run, data):
     denoiser, ctx, init, wcfg, rng, knobs = run
     first = DecodeConfig(tau=data.draw(st.floats(0.05, 1.0)), **knobs)
-    _, probe = full_matrix_decode(denoiser, ctx, init, first, wcfg, rng)
+    probe = full_matrix_decode(denoiser, ctx, init, first, wcfg, rng)
     # A threshold equal to an emitted confidence puts positions exactly on the
     # strict > tau boundary.
     emitted = [c for rec in probe.iterations for _, _, c in rec.unmasked]
     for tau in {first.tau, data.draw(st.sampled_from(emitted)) if emitted else first.tau}:
         dcfg = DecodeConfig(tau=tau, **knobs)
-        want_tokens, want = full_matrix_decode(denoiser, ctx, init, dcfg, wcfg, rng)
-        got_tokens, got = decode(denoiser, ctx, init, dcfg, wcfg, rng)
+        want = full_matrix_decode(denoiser, ctx, init, dcfg, wcfg, rng)
+        got = decode(denoiser, ctx, init, dcfg, wcfg, rng)
         assert trace_bytes(got) == trace_bytes(want)
-        assert got_tokens.tobytes() == want_tokens.tobytes()
+        assert got.final_tokens.tobytes() == want.final_tokens.tobytes()
