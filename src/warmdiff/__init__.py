@@ -41,7 +41,7 @@ from .harness import (
     sweep,
     token_accuracy,
 )
-from .proposal import Proposal, propose_corrupted, propose_markov
+from .proposal import propose_corrupted, propose_markov
 from .warmstart import WarmStartConfig, inject_tokens, interpolate_embeddings, warm_init
 
 __version__ = "0.1.0"

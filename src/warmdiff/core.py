@@ -121,11 +121,8 @@ class EmbeddingTable:
         is a pure function of the rng seed."""
         if dim < 1:
             raise ValueError("embedding dimension must be positive")
-        rows = np.empty((vocab.size + 1, dim), dtype=np.float64)
-        for r in range(vocab.size + 1):
-            for c in range(dim):
-                rows[r, c] = 2.0 * rng.draw("embed-table", r, c) - 1.0
-        return cls(rows=rows)
+        row_ids = range(vocab.size + 1)
+        return cls(rows=2.0 * np.column_stack([rng.draws("embed-table", row_ids, c) for c in range(dim)]) - 1.0)
 
 
 class DeterministicRng:
@@ -146,6 +143,11 @@ class DeterministicRng:
         h = self._keyed.copy()
         h.update(purpose.encode("utf-8") + struct.pack("<qq", position, iteration))
         return int.from_bytes(h.digest(), "little") / 2.0**64
+
+    def draws(self, purpose: str, positions, iteration: int) -> np.ndarray:
+        """`draw(purpose, p, iteration)` for each p of `positions` (ints), as
+        one float64 array: the one path from an address set to its values."""
+        return np.array([self.draw(purpose, p, iteration) for p in positions], dtype=np.float64)
 
 
 def all_mask_init(vocab: Vocabulary, n: int) -> DiffusionState:

@@ -109,14 +109,11 @@ def apply_remask(
     """Independently remask each eligible position with its rate (draws
     addressed by "remask", position, k). A remasked position leaves the
     injected set permanently."""
-    remasked = []
-    for pos, rate in zip(positions, rates):
-        pos = int(pos)
-        if rng.draw("remask", pos, k) < rate:
-            state.tokens[pos] = state.vocab.mask_id
-            state.injected.discard(pos)
-            remasked.append((pos, float(rate)))
-    return remasked
+    hit = rng.draws("remask", positions.tolist(), k) < rates
+    remasked = positions[hit].tolist()
+    state.tokens[remasked] = state.vocab.mask_id
+    state.injected.difference_update(remasked)
+    return list(zip(remasked, rates[hit].tolist()))
 
 
 def decode(

@@ -58,6 +58,11 @@ class InvariantViolation(RuntimeError):
     """A decode trace broke one of the runtime invariants."""
 
 
+# Largest embedding table ((vocab_size + 1) x embed_dim) and probability
+# matrix (n x vocab_size) a config may ask for, in entries: far above any
+# study this engine is for, and far below what exhausts memory or time.
+MAX_ENTRIES = 2**24
+
 # ---------------------------------------------------------------------------
 # Configuration schema
 
@@ -243,6 +248,10 @@ def build_config(overrides: dict) -> ExperimentConfig:
         raise ConfigError("embed_dim must be >= 1")
     if values["num_runs"] < 1:
         raise ConfigError("num_runs must be >= 1")
+    if (values["vocab_size"] + 1) * values["embed_dim"] > MAX_ENTRIES:
+        raise ConfigError(f"(vocab_size + 1) * embed_dim must be <= {MAX_ENTRIES} embedding entries")
+    if n * values["vocab_size"] > MAX_ENTRIES:
+        raise ConfigError(f"n * vocab_size must be <= {MAX_ENTRIES} probability entries")
     if values["target_source"] not in ("uniform", "corpus"):
         raise ConfigError("target_source must be 'uniform' or 'corpus'")
     if values["denoiser.kind"] not in ("noisy-oracle", "markov"):
@@ -316,9 +325,7 @@ def build_resources(cfg: ExperimentConfig) -> RunResources:
 
 def _make_target(cfg: ExperimentConfig, resources: RunResources, rng: DeterministicRng) -> np.ndarray:
     if cfg.target_source == "uniform":
-        return np.array(
-            [int(rng.draw("target", i, 0) * cfg.vocab_size) for i in range(cfg.n)], dtype=np.int64
-        )
+        return (rng.draws("target", range(cfg.n), 0) * cfg.vocab_size).astype(np.int64)
     eligible = [s for s in resources.corpus if len(s) >= cfg.n]
     seq = eligible[int(rng.draw("target-seq", 0, 0) * len(eligible))]
     start = int(rng.draw("target-off", 0, 0) * (len(seq) - cfg.n + 1))

@@ -49,23 +49,18 @@ class WarmStartConfig:
             raise ValueError(f"override_persistence must be one of {PERSISTENCE_MODES}")
 
 
-def inject_tokens(vocab, proposal, rho: float, rng: DeterministicRng) -> DiffusionState:
+def inject_tokens(vocab, proposal: np.ndarray, rho: float, rng: DeterministicRng) -> DiffusionState:
     """Per position, keep the proposal token with probability rho (gate draw
     "inject-gate" at iteration 0), otherwise leave it masked."""
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must be in [0, 1]")
-    n = len(proposal.tokens)
-    tokens = np.full(n, vocab.mask_id, dtype=np.int64)
-    injected = set()
-    for i in range(n):
-        if rng.draw("inject-gate", i, 0) < rho:
-            tokens[i] = proposal.tokens[i]
-            injected.add(i)
-    return DiffusionState(vocab=vocab, tokens=tokens, injected=injected)
+    gate = rng.draws("inject-gate", range(len(proposal)), 0) < rho
+    tokens = np.where(gate, proposal, vocab.mask_id)
+    return DiffusionState(vocab=vocab, tokens=tokens, injected=set(np.flatnonzero(gate).tolist()))
 
 
 def interpolate_embeddings(
-    proposal, table: EmbeddingTable, alpha: float, rho: float, rng: DeterministicRng
+    proposal: np.ndarray, table: EmbeddingTable, alpha: float, rho: float, rng: DeterministicRng
 ) -> np.ndarray:
     """Convex blend (1-alpha) * mask_vec + alpha * Emb(proposal_i) per position,
     kept with probability rho (draw "embed-drop" at iteration 0) and reverted
@@ -74,20 +69,18 @@ def interpolate_embeddings(
         raise ValueError("alpha must be in [0, 1]")
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must be in [0, 1]")
-    if (proposal.tokens >= table.num_tokens).any():
+    if ((proposal < 0) | (proposal >= table.num_tokens)).any():
         raise ValueError("proposal tokens outside the embedding table")
-    n = len(proposal.tokens)
+    keep = rng.draws("embed-drop", range(len(proposal)), 0) < rho
     mask_vec = table.mask_vector()
-    out = np.tile(mask_vec, (n, 1))
-    for i in range(n):
-        if rng.draw("embed-drop", i, 0) < rho:
-            out[i] = (1.0 - alpha) * mask_vec + alpha * table.rows[proposal.tokens[i]]
+    out = np.tile(mask_vec, (len(proposal), 1))
+    out[keep] = (1.0 - alpha) * mask_vec + alpha * table.rows[proposal[keep]]
     return out
 
 
 def warm_init(
     vocab: Vocabulary,
-    proposal,
+    proposal: np.ndarray,
     table: EmbeddingTable | None,
     cfg: WarmStartConfig,
     rng: DeterministicRng,
@@ -98,7 +91,7 @@ def warm_init(
     proposal tokens into the discrete state; "embedding-interpolation" keeps
     every position masked and attaches the interpolated override vectors.
     """
-    n = len(proposal.tokens)
+    n = len(proposal)
     if cfg.method == "none":
         return all_mask_init(vocab, n)
     if cfg.method == "token-injection":

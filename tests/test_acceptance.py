@@ -24,7 +24,6 @@ from warmdiff.harness import (
     run_one,
     trace_lines,
 )
-from warmdiff.proposal import Proposal
 from warmdiff.warmstart import WarmStartConfig, inject_tokens, interpolate_embeddings
 from warmdiff.core import EmbeddingTable
 
@@ -188,7 +187,7 @@ def test_criterion_3_degeneration_identities():
     for seed in range(5):
         v = Vocabulary(9)
         table = EmbeddingTable.random(v, 6, DeterministicRng(seed))
-        prop = Proposal(tokens=np.arange(32) % 9, source="corrupted-oracle")
+        prop = np.arange(32) % 9
         out = interpolate_embeddings(prop, table, 0.0, 0.6, DeterministicRng(seed + 1))
         expected = np.tile(table.mask_vector(), (32, 1))
         bitwise_mask = bitwise_mask and out.tobytes() == expected.tobytes()
@@ -298,7 +297,7 @@ def test_criterion_7_statistical_gates():
     n = 10_000
     for i, rho in enumerate((0.1, 0.25, 0.5)):
         v = Vocabulary(4)
-        prop = Proposal(tokens=np.zeros(n, dtype=np.int64), source="corrupted-oracle")
+        prop = np.zeros(n, dtype=np.int64)
         frac = len(inject_tokens(v, prop, rho, DeterministicRng(300 + i)).injected) / n
         sigma = np.sqrt(rho * (1 - rho) / n)
         gates_ok = gates_ok and abs(frac - rho) <= 3 * sigma

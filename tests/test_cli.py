@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -72,6 +76,26 @@ class TestRun:
         assert cli.main(["run", "--config", cfg]) == 1
         err = capsys.readouterr().err.splitlines()
         assert err == ["config error: denoiser.eta expects a finite number, got inf"]
+
+
+    @pytest.mark.parametrize(
+        "line",
+        [f"vocab_size = {'9' * 400}", f"embed_dim = {'9' * 400}", "vocab_size = 100000000000", "n = 100000000"],
+        ids=["vocab_size-400-digits", "embed_dim-400-digits", "vocab_size-1e11", "n-1e8"],
+    )
+    def test_oversized_config_exits_one_promptly(self, tmp_path, line):
+        """Sizes that would exhaust memory or run for hours are config errors,
+        reported before any array is allocated or target drawn."""
+        cfg = write(tmp_path / "cfg.txt", line + "\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "warmdiff", "run", "--config", cfg],
+            capture_output=True, text=True, timeout=10, env=env,
+        )
+        assert proc.returncode == 1
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ") and "<= 16777216" in err[0]
 
 
 class TestSweep:

@@ -152,6 +152,19 @@ class TestDeterministicRng:
                 digest = hashlib.blake2b(msg, digest_size=8, key=key).digest()
                 assert rng.draw(purpose, pos, it) == int.from_bytes(digest, "little") / 2.0**64
 
+    def test_draws_is_draw_at_each_address(self, monkeypatch):
+        rng = DeterministicRng(5)
+        positions = [0, 3, 3, 7, -2]
+        out = rng.draws("p", positions, 4)
+        assert out.dtype == np.float64
+        assert out.tolist() == [rng.draw("p", p, 4) for p in positions]
+        assert rng.draws("p", [], 0).shape == (0,)
+        calls = []
+        draw = DeterministicRng.draw
+        monkeypatch.setattr(DeterministicRng, "draw", lambda self, *a: calls.append(a) or draw(self, *a))
+        rng.draws("q", range(3), 1)
+        assert calls == [("q", 0, 1), ("q", 1, 1), ("q", 2, 1)]
+
     def test_negative_seed_accepted(self):
         rng = DeterministicRng(-17)
         assert 0.0 <= rng.draw("p", 0, 0) < 1.0
@@ -185,3 +198,5 @@ def test_random_embedding_table_is_seed_deterministic():
     assert t1.rows.tobytes() != t3.rows.tobytes()
     assert t1.rows.shape == (7, 4)
     assert np.all(np.abs(t1.rows) <= 1.0)
+    rng = DeterministicRng(9)
+    assert t1.rows.tolist() == [[2.0 * rng.draw("embed-table", r, c) - 1.0 for c in range(4)] for r in range(7)]

@@ -12,7 +12,6 @@ from warmdiff.decoder import (
     select_unmask,
 )
 from warmdiff.denoiser import DenoiseContext, NoisyOracleParams, noisy_oracle_logits
-from warmdiff.proposal import Proposal
 from warmdiff.warmstart import WarmStartConfig, inject_tokens
 
 BASELINE = WarmStartConfig(method="none")
@@ -73,8 +72,7 @@ class TestRemaskRates:
 class TestApplyRemask:
     def make_state(self):
         v = Vocabulary(4)
-        prop = Proposal(tokens=np.array([0, 1, 2, 3]), source="corrupted-oracle")
-        return inject_tokens(v, prop, 1.0, DeterministicRng(0))
+        return inject_tokens(v, np.array([0, 1, 2, 3]), 1.0, DeterministicRng(0))
 
     def test_zero_rates_change_nothing(self):
         state = self.make_state()
@@ -132,8 +130,7 @@ class TestDecode:
         rng = DeterministicRng(5)
         target = np.array([int(rng.draw("t", i, 0) * 6) for i in range(12)])
         ctx = oracle_ctx(target, c0=0.35, gamma=0.8, c_max=0.95)
-        prop = Proposal(tokens=target, source="corrupted-oracle")
-        init = inject_tokens(v, prop, 0.3, DeterministicRng(6))
+        init = inject_tokens(v, target, 0.3, DeterministicRng(6))
         dcfg = DecodeConfig(tau=0.9, remask_enabled=True, b0=0.4, lam=0.08, k_max=48)
         trace = decode(noisy_oracle_logits, ctx, init, dcfg, BASELINE, DeterministicRng(7))
         masked = int(init.masked().sum())
@@ -150,8 +147,7 @@ class TestDecode:
         rng = DeterministicRng(8)
         target = np.array([int(rng.draw("t", i, 0) * 4) for i in range(10)])
         ctx = oracle_ctx(target, c0=0.4, gamma=0.5, c_max=0.9)
-        prop = Proposal(tokens=target, source="corrupted-oracle")
-        init = inject_tokens(v, prop, 0.5, DeterministicRng(9))
+        init = inject_tokens(v, target, 0.5, DeterministicRng(9))
         dcfg = DecodeConfig(tau=0.95, remask_enabled=True, b0=0.6, lam=0.05, k_max=40)
         trace = decode(noisy_oracle_logits, ctx, init, dcfg, BASELINE, DeterministicRng(10))
         remasked = {p for rec in trace.iterations for p, _ in rec.remasked}
@@ -228,8 +224,7 @@ class TestDecode:
     def test_full_injection_returns_immediately(self):
         v = Vocabulary(4)
         target = np.array([0, 1, 2, 3])
-        prop = Proposal(tokens=target, source="corrupted-oracle")
-        init = inject_tokens(v, prop, 1.0, DeterministicRng(0))
+        init = inject_tokens(v, target, 1.0, DeterministicRng(0))
         trace = decode(
             noisy_oracle_logits, oracle_ctx(target), init, DecodeConfig(tau=0.9), BASELINE,
             DeterministicRng(0),
@@ -286,7 +281,7 @@ class TestScriptedTraceEquivalence:
             target = np.array([int(rng.draw("t", i, 0) * V) for i in range(n)])
             mode = "credulous" if seed % 2 else "faithful"
             ctx = oracle_ctx(target, c0=0.31, gamma=0.47, c_max=0.93, mode=mode)
-            prop = Proposal(tokens=(target + 1) % V, source="corrupted-oracle")
+            prop = (target + 1) % V
             starts = [all_mask_init(v, n), inject_tokens(v, prop, 0.4, DeterministicRng(seed + 50))]
             for init in starts:
                 if int(init.masked().sum()) == 0:

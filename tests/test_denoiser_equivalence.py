@@ -220,13 +220,14 @@ def test_markov_proposal_matches_row_queries(data, n, seed):
     expected = [reference_sample_index(model.unigram(), rng.draw("proposal-markov", 0, 0))]
     for i in range(1, n):
         expected.append(reference_sample_index(model.next_probs(expected[-1]), rng.draw("proposal-markov", i, 0)))
-    assert propose_markov(model, n, rng).tokens.tolist() == expected
+    assert propose_markov(model, n, rng).tolist() == expected
 
 
-class ScriptedRng:
+class ScriptedRng(DeterministicRng):
     """Returns the given uniforms in order, whatever the address."""
 
     def __init__(self, uniforms):
+        super().__init__(0)
         self.uniforms = iter(uniforms)
 
     def draw(self, purpose, position, iteration):
@@ -252,7 +253,7 @@ def test_markov_proposal_at_the_ends_of_the_unit_interval_and_on_cdf_ties(data):
     expected = [reference_sample_index(model.unigram(), uniforms[0])]
     for u in uniforms[1:]:
         expected.append(reference_sample_index(model.next_probs(expected[-1]), u))
-    assert propose_markov(model, len(uniforms), ScriptedRng(uniforms)).tokens.tolist() == expected
+    assert propose_markov(model, len(uniforms), ScriptedRng(uniforms)).tolist() == expected
 
 
 # Each check the denoisers used to run on every call now runs once, in prepare.

@@ -137,6 +137,19 @@ class TestBuildConfig:
             with pytest.raises(ConfigError):
                 build_config(overrides)
 
+    def test_size_limit_is_inclusive(self):
+        side = 2**12  # (side - 1 + 1) * side == MAX_ENTRIES
+        assert harness.MAX_ENTRIES == side * side
+        build_config({"vocab_size": side - 1, "embed_dim": side})
+        build_config({"n": harness.MAX_ENTRIES // 16, "vocab_size": 16})
+        for overrides in (
+            {"vocab_size": side - 1, "embed_dim": side + 1},
+            {"vocab_size": side, "embed_dim": side},
+            {"n": harness.MAX_ENTRIES // 16 + 1, "vocab_size": 16},
+        ):
+            with pytest.raises(ConfigError, match=str(harness.MAX_ENTRIES)):
+                build_config(overrides)
+
     def test_config_to_dict_round_trips_keys(self):
         cfg = build_config({"warmstart.rho": 0.5})
         flat = config_to_dict(cfg)

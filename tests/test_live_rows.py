@@ -25,7 +25,6 @@ from warmdiff.decoder import (
 )
 from warmdiff.denoiser import NoisyOracleParams, prepare
 from warmdiff.harness import trace_lines
-from warmdiff.proposal import Proposal
 from warmdiff.warmstart import METHODS, PERSISTENCE_MODES, WarmStartConfig, warm_init
 
 
@@ -85,7 +84,7 @@ def runs(draw):
         alpha=draw(st.floats(0.0, 1.0)),
         override_persistence=draw(st.sampled_from(PERSISTENCE_MODES)),
     )
-    init = warm_init(vocab, Proposal(tokens=draw(tokens), source="corrupted-oracle"), table, wcfg, rng)
+    init = warm_init(vocab, np.array(draw(tokens), dtype=np.int64), table, wcfg, rng)
     if draw(st.booleans()):
         seqs = draw(st.lists(st.lists(st.integers(0, V - 1), min_size=1, max_size=12), min_size=1, max_size=4))
         kind, params = "markov", BigramModel.fit(seqs, V)

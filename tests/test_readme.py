@@ -1,12 +1,14 @@
-"""README.md against the config schema: the key table, the sweep keys, and
-the quick-start files must say what the code does."""
+"""README.md against the code: the key table, the sweep keys, the RNG
+purpose table and the quick-start files must say what the code does."""
 
+import itertools
 import re
 from pathlib import Path
 
 import pytest
 
-from warmdiff.harness import SCHEMA, SWEEP_ORDER, build_config, expand_grid, parse_config_text
+from warmdiff.core import DeterministicRng
+from warmdiff.harness import SCHEMA, SWEEP_ORDER, build_config, expand_grid, parse_config_text, run_experiment
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -65,6 +67,50 @@ def test_sweep_sentence_lists_the_sweep_order():
     assert re.findall(r"`([^`]+)`", sentence) == SWEEP_ORDER
     order = re.search(r"fixed dimension order \((.*?)\)", README, re.S).group(1)
     assert [part.strip() for part in order.split(",")] == [k.rpartition(".")[2] for k in SWEEP_ORDER]
+
+
+def rng_table():
+    """{purpose: address} from the README's table of random draws."""
+    rows = re.findall(r"^\| `([a-z-]+)` \| `(\([a-z0-9]+, [a-z0-9]+\))` \|", section("Random draws"), re.M)
+    assert len(rows) == len(dict(rows))
+    return dict(rows)
+
+
+def test_rng_table_names_every_purpose_with_its_address(tmp_path, monkeypatch):
+    seen = []
+    draw = DeterministicRng.draw
+
+    def recording_draw(self, purpose, position, iteration):
+        seen.append((purpose, position, iteration))
+        return draw(self, purpose, position, iteration)
+
+    monkeypatch.setattr(DeterministicRng, "draw", recording_draw)
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("0 1 2 3 0 1 2\n3 2 1 0 3 2\n", encoding="utf-8")
+    n, V, d = 6, 4, 3
+    for method, proposer, denoiser, target in itertools.product(
+        ("none", "token-injection", "embedding-interpolation"),
+        ("corrupted-oracle", "markov"),
+        ("noisy-oracle", "markov"),
+        ("uniform", "corpus"),
+    ):
+        run_experiment(build_config({
+            "n": n, "vocab_size": V, "embed_dim": d, "num_runs": 2, "corpus.path": str(corpus),
+            "warmstart.method": method, "warmstart.rho": 0.5, "proposer.kind": proposer,
+            "proposer.epsilon": 0.5, "denoiser.kind": denoiser, "target_source": target,
+            "decode.remask_enabled": True,
+        }))
+
+    table = rng_table()
+    assert {purpose for purpose, _, _ in seen} == set(table)
+    fits = {
+        "(i, 0)": lambda pos, it: 0 <= pos < n and it == 0,
+        "(0, 0)": lambda pos, it: (pos, it) == (0, 0),
+        "(pos, k)": lambda pos, it: 0 <= pos < n and it >= 1,
+        "(row, col)": lambda pos, it: 0 <= pos <= V and 0 <= it < d,
+    }
+    for purpose, pos, it in seen:
+        assert fits[table[purpose]](pos, it), (purpose, pos, it)
 
 
 def test_quick_start_experiment_builds():

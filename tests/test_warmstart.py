@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from warmdiff.core import DeterministicRng, EmbeddingTable, Vocabulary, all_mask_init
-from warmdiff.proposal import Proposal
 from warmdiff.warmstart import WarmStartConfig, inject_tokens, interpolate_embeddings, warm_init
 
 
 def make_proposal(tokens):
-    return Proposal(tokens=np.asarray(tokens, dtype=np.int64), source="corrupted-oracle")
+    return np.asarray(tokens, dtype=np.int64)
 
 
 class TestInjectTokens:
@@ -31,7 +30,7 @@ class TestInjectTokens:
         state = inject_tokens(v, prop, 0.4, DeterministicRng(3))
         for i in range(100):
             if i in state.injected:
-                assert state.tokens[i] == prop.tokens[i]
+                assert state.tokens[i] == prop[i]
             else:
                 assert state.tokens[i] == v.mask_id
 
@@ -55,7 +54,7 @@ class TestInterpolateEmbeddings:
 
     def test_alpha_one_keep_all_copies_embeddings(self):
         out = interpolate_embeddings(self.prop, self.table, 1.0, 1.0, DeterministicRng(9))
-        expected = self.table.rows[self.prop.tokens]
+        expected = self.table.rows[self.prop]
         assert out.tobytes() == expected.tobytes()
 
     def test_direct_arithmetic(self):
@@ -68,15 +67,16 @@ class TestInterpolateEmbeddings:
         out = interpolate_embeddings(self.prop, self.table, 0.37, 0.5, DeterministicRng(10))
         mask_vec = self.table.mask_vector()
         for i in range(6):
-            lo = np.minimum(mask_vec, self.table.rows[self.prop.tokens[i]])
-            hi = np.maximum(mask_vec, self.table.rows[self.prop.tokens[i]])
+            lo = np.minimum(mask_vec, self.table.rows[self.prop[i]])
+            hi = np.maximum(mask_vec, self.table.rows[self.prop[i]])
             assert (out[i] >= lo - 1e-12).all()
             assert (out[i] <= hi + 1e-12).all()
 
     def test_proposal_outside_table_rejected(self):
         small = EmbeddingTable(rows=np.zeros((3, 2)))  # V = 2
-        with pytest.raises(ValueError):
-            interpolate_embeddings(make_proposal([2]), small, 0.5, 0.5, DeterministicRng(0))
+        for tokens in ([2], [0, -1]):  # index -1 would silently read the mask row
+            with pytest.raises(ValueError):
+                interpolate_embeddings(make_proposal(tokens), small, 0.5, 1.0, DeterministicRng(0))
 
 
 class TestWarmInit:
@@ -96,7 +96,7 @@ class TestWarmInit:
     def test_token_injection_full_rate(self):
         cfg = WarmStartConfig(method="token-injection", rho=1.0)
         state = warm_init(self.v, self.prop, self.table, cfg, DeterministicRng(21))
-        assert state.tokens.tolist() == self.prop.tokens.tolist()
+        assert state.tokens.tolist() == self.prop.tolist()
         assert state.injected == set(range(5))
 
     def test_zero_rate_injection_matches_all_mask(self):
