@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from hashlib import blake2b
 
 import numpy as np
@@ -115,6 +116,13 @@ class EmbeddingTable:
     def mask_vector(self) -> np.ndarray:
         return self.rows[self.mask_id]
 
+    @cached_property
+    def mask_cosines(self) -> np.ndarray:
+        """_cosine(mask vector, row t) for each real token t; computed on
+        first use, then kept with the table."""
+        mask_vec = self.mask_vector()
+        return np.array([_cosine(mask_vec, row) for row in self.rows[: self.mask_id]])
+
     @classmethod
     def random(cls, vocab: Vocabulary, dim: int, rng: "DeterministicRng") -> "EmbeddingTable":
         """Uniform entries in [-1, 1), addressed by (row, column) so the table
@@ -156,6 +164,16 @@ def all_mask_init(vocab: Vocabulary, n: int) -> DiffusionState:
         raise ValueError(f"sequence length must be >= 1, got {n}")
     tokens = np.full(n, vocab.mask_id, dtype=np.int64)
     return DiffusionState(vocab=vocab, tokens=tokens)
+
+
+def _cosine(u: np.ndarray, v: np.ndarray) -> float:
+    """Cosine similarity of two vectors; 0 when either is zero, so degenerate
+    rows stay neutral."""
+    nu = float(np.linalg.norm(u))
+    nv = float(np.linalg.norm(v))
+    if nu == 0.0 or nv == 0.0:
+        return 0.0
+    return float(np.dot(u, v) / (nu * nv))
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

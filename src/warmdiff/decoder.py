@@ -1,11 +1,12 @@
 """Confidence-threshold parallel unmasking with optional remasking.
 
-One loop iteration = one denoiser call: convert logits to probabilities,
-unmask every masked position whose confidence strictly exceeds tau (or the
-single most confident one if none does, guaranteeing progress), then
-stochastically remask still-injected positions at a rate driven by their
-current-token confidence and a linearly decaying bias. Model-decoded tokens
-are never revised; each injected position can be remasked at most once.
+One loop iteration = one denoiser call: take the probability rows it
+returns as they are, unmask every masked position whose confidence strictly
+exceeds tau (or the single most confident one if none does, guaranteeing
+progress), then stochastically remask still-injected positions at a rate
+driven by their current-token confidence and a linearly decaying bias.
+Model-decoded tokens are never revised; each injected position can be
+remasked at most once.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DeterministicRng, DiffusionState, softmax
+from .core import DeterministicRng, DiffusionState
 from .warmstart import WarmStartConfig
 
 __all__ = [
@@ -127,11 +128,12 @@ def decode(
     """Run the full inference loop from a warm-started (or all-mask) state;
     the trace holds the final tokens.
 
-    Per iteration k = 1, 2, ...: call the denoiser (one NFE) for the rows
-    the iteration reads, softmax them, unmask via the strict-tau rule, then
-    (if enabled) remask still-injected positions using the same probability
-    rows. Stops when nothing is masked; if the k_max cap is hit first, the
-    trace is flagged "capped" instead of raising.
+    Per iteration k = 1, 2, ...: call the denoiser (one NFE) for the
+    probability rows the iteration reads, unmask via the strict-tau rule on
+    those rows as they are, then (if enabled) remask still-injected positions
+    using the same rows. Non-finite denoiser output raises ValueError. Stops
+    when nothing is masked; if the k_max cap is hit first, the trace is
+    flagged "capped" instead of raising.
 
     The embedding override is visible to the denoiser on every iteration
     under "while-masked" persistence, and only on the first under
@@ -163,7 +165,9 @@ def decode(
             live = masked.copy()
             live[eligible] = True
         rows = np.flatnonzero(live)
-        pi = softmax(denoiser(state, ctx, rows))
+        pi = denoiser(state, ctx, rows)
+        if not np.isfinite(pi).all():
+            raise ValueError(f"denoiser returned non-finite probabilities at iteration {k}")
         conf = confidences(pi)
         picked = select_unmask(conf, masked[rows], dcfg.tau)
         chosen = rows[picked]

@@ -587,7 +587,7 @@ def check_trace_invariants(trace: DecodeTrace, init: DiffusionState) -> list[str
                 problems.append(f"iteration {idx}: position {pos} unmasked twice")
             if tok < 0 or tok >= init.vocab.size:
                 problems.append(f"iteration {idx}: unmasked token {tok} outside vocabulary")
-            if not 0.0 <= conf <= 1.0 + 1e-12:
+            if not 0.0 <= conf <= 1.0:
                 problems.append(f"iteration {idx}: confidence {conf} outside [0, 1]")
             unmasked_seen.add(pos)
             masked.discard(pos)

@@ -1,22 +1,13 @@
 """Straight-line reference loop for confidence-threshold unmasking.
 
-Deliberately independent of warmdiff.decoder: scalar per-row softmax,
-explicit Python loops, no shared selection helpers. Used to cross-check
-decode traces token-for-token. The softmax keeps the max-subtraction form;
-an unstabilized exp/sum perturbs exactly-tied confidences by an ulp, which
-would flip forced-progress tie-breaks and make trace comparison flaky.
+Deliberately independent of warmdiff.decoder: explicit Python loops over
+the denoiser's probability rows, read as Python floats, no shared selection
+helpers. Used to cross-check decode traces token-for-token.
 """
 
 from warmdiff.core import DiffusionState
 
 import numpy as np
-
-
-def naive_softmax_row(row):
-    m = max(float(x) for x in row)
-    e = [float(np.exp(x - m)) for x in row]
-    s = sum(e)
-    return [x / s for x in e]
 
 
 def reference_decode(denoiser_fn, ctx, init_tokens, vocab, tau, k_max=10_000):
@@ -33,13 +24,13 @@ def reference_decode(denoiser_fn, ctx, init_tokens, vocab, tau, k_max=10_000):
     while any(t == mask for t in tokens) and k < k_max:
         k += 1
         state = DiffusionState(vocab=vocab, tokens=np.array(tokens, dtype=np.int64))
-        logits = denoiser_fn(state, ctx, np.arange(len(tokens)))  # every row
+        pi = denoiser_fn(state, ctx, np.arange(len(tokens)))  # every row
         unmask = []
         best = None  # (pos, tok, conf) of the most confident masked position
         for i in range(len(tokens)):
             if tokens[i] != mask:
                 continue
-            probs = naive_softmax_row(logits[i])
+            probs = [float(x) for x in pi[i]]
             conf = max(probs)
             tok = probs.index(conf)
             if conf > tau:

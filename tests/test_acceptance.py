@@ -13,10 +13,12 @@ import time
 
 import numpy as np
 
+from nfe_law import exact_mean_nfe
 from reference_decoder import reference_decode
-from warmdiff.core import DeterministicRng, Vocabulary, all_mask_init, softmax
+from warmdiff.bigram import BigramModel
+from warmdiff.core import DeterministicRng, DiffusionState, Vocabulary, all_mask_init, softmax
 from warmdiff.decoder import DecodeConfig, decode, remask_rates
-from warmdiff.denoiser import DenoiseContext
+from warmdiff.denoiser import NoisyOracleParams, prepare
 from warmdiff.harness import (
     build_config,
     check_trace_invariants,
@@ -88,14 +90,15 @@ def test_criterion_1_oracle_equivalence():
             for tau in (0.5, 0.9):
                 for seed in range(3):
                     gen = np.random.default_rng(1000 * n + 100 * V + seed + int(tau * 10))
-                    script = [gen.normal(size=(n, V)) * 2.0 for _ in range(n)]
+                    weights = [np.exp(gen.normal(size=(n, V)) * 2.0) for _ in range(n)]
+                    script = [w / w.sum(axis=1, keepdims=True) for w in weights]  # probability rows
 
                     def scripted(arrays):
                         it = iter(arrays)
                         return lambda state, ctx, rows: next(it)[rows]
 
                     v = Vocabulary(V)
-                    ctx = DenoiseContext(target=np.zeros(n, dtype=np.int64), params=None)
+                    ctx = None  # the scripted denoiser reads no context
                     trace = decode(
                         scripted(script), ctx, all_mask_init(v, n),
                         DecodeConfig(tau=tau, k_max=2 * n), WarmStartConfig(),
@@ -230,18 +233,24 @@ def test_criterion_4_nfe_reduction():
     diff_lo, diff_hi = _diff_ci(nfe_b, nfe_m)
     b_lo, b_hi = _mean_ci(nfe_b)
     m_lo, m_hi = _mean_ci(nfe_m)
+    # Exact means from the closed-form law over the start's multinomial.
+    law = [C4_SETTING[k] for k in ("n", "denoiser.c0", "denoiser.gamma", "denoiser.c_max", "decode.tau")]
+    exact_b = exact_mean_nfe(*law, rho=0.0, epsilon=0.0)
+    exact_m = exact_mean_nfe(*law, rho=METHOD1["warmstart.rho"], epsilon=0.0)
     ok = (
         nfe_m.mean() < nfe_b.mean()
         and reduction >= 0.10
         and diff_lo > 0.0
         and m_hi < b_lo  # individual 95% CIs do not overlap
+        and b_lo <= exact_b <= b_hi
+        and m_lo <= exact_m <= m_hi
         and elapsed < 60.0
     )
     _report(
         "criterion 4 (NFE reduction)",
         ok,
-        f"baseline NFE {nfe_b.mean():.2f} [{b_lo:.2f},{b_hi:.2f}] vs token-injection "
-        f"{nfe_m.mean():.2f} [{m_lo:.2f},{m_hi:.2f}]; reduction {reduction:.1%}, "
+        f"baseline NFE {nfe_b.mean():.2f} [{b_lo:.2f},{b_hi:.2f}] (exact {float(exact_b):.3f}) vs token-injection "
+        f"{nfe_m.mean():.2f} [{m_lo:.2f},{m_hi:.2f}] (exact {float(exact_m):.3f}); reduction {reduction:.1%}, "
         f"diff CI [{diff_lo:.2f},{diff_hi:.2f}]; {elapsed:.1f}s",
     )
 
@@ -314,12 +323,32 @@ def test_criterion_7_statistical_gates():
     sums = softmax(rows).sum(axis=1)
     softmax_ok = np.abs(sums - 1.0).max() <= 1e-9
 
+    # 1e5 denoiser rows: both oracle modes and the markov mixture, over
+    # random parameters and partly revealed states.
+    v = Vocabulary(8)
+    model = BigramModel.fit([gen.integers(0, 8, size=400).tolist()], 8)
+    worst = 0.0
+    for i in range(10):
+        c0 = gen.uniform(0.0, 1.0)
+        params = NoisyOracleParams(
+            c0=c0, gamma=gen.uniform(0.0, 2.0), c_max=gen.uniform(c0, 1.0), mode=("faithful", "credulous")[i % 2]
+        )
+        target = gen.integers(0, 8, size=5000)
+        state = DiffusionState(
+            vocab=v, tokens=np.where(gen.uniform(size=5000) < gen.uniform(), gen.integers(0, 8, size=5000), v.mask_id)
+        )
+        for kind, p in (("noisy-oracle", params), ("markov", model)):
+            denoiser, ctx = prepare(kind, target, p, state)
+            worst = max(worst, float(np.abs(denoiser(state, ctx).sum(axis=1) - 1.0).max()))
+    rows_ok = worst <= 1e-9
+
     elapsed = time.perf_counter() - t0
     _report(
         "criterion 7 (statistical gates)",
-        gates_ok and rates_ok and softmax_ok and elapsed < 10.0,
+        gates_ok and rates_ok and softmax_ok and rows_ok and elapsed < 10.0,
         f"injection fractions ({', '.join(details)}) within 3 sigma; remask rates in [0,1]; "
-        f"1e5 softmax rows sum within 1e-9; {elapsed:.1f}s",
+        f"1e5 softmax rows and 1e5 denoiser probability rows sum to 1 within 1e-9 "
+        f"(worst {worst:.1e}); {elapsed:.1f}s",
     )
 
 

@@ -11,7 +11,7 @@ from warmdiff.decoder import (
     remask_rates,
     select_unmask,
 )
-from warmdiff.denoiser import DenoiseContext, NoisyOracleParams, noisy_oracle_logits
+from warmdiff.denoiser import NoisyOracleParams, noisy_oracle_logits, prepare
 from warmdiff.warmstart import WarmStartConfig, inject_tokens
 
 BASELINE = WarmStartConfig(method="none")
@@ -96,17 +96,18 @@ class TestApplyRemask:
         assert results[0] == results[1]
 
 
-def oracle_ctx(target, **kw):
-    return DenoiseContext(target=np.asarray(target), params=NoisyOracleParams(**kw))
+def oracle_ctx(target, init, **kw):
+    return prepare("noisy-oracle", target, NoisyOracleParams(**kw), init)[1]
 
 
 class TestDecode:
     def test_perfect_oracle_single_iteration(self):
         v = Vocabulary(5)
         target = np.array([1, 4, 0, 2, 3, 3])
-        ctx = oracle_ctx(target, c0=1.0, c_max=1.0)
+        init = all_mask_init(v, 6)
+        ctx = oracle_ctx(target, init, c0=1.0, c_max=1.0)
         trace = decode(
-            noisy_oracle_logits, ctx, all_mask_init(v, 6), DecodeConfig(tau=0.9), BASELINE,
+            noisy_oracle_logits, ctx, init, DecodeConfig(tau=0.9), BASELINE,
             DeterministicRng(0),
         )
         assert trace.nfe == 1
@@ -116,9 +117,10 @@ class TestDecode:
     def test_permanently_sub_threshold_unmasks_one_per_iteration(self):
         v = Vocabulary(4)
         target = np.array([0, 1, 2, 3, 0, 1, 2])
-        ctx = oracle_ctx(target, c0=0.3, gamma=0.0, c_max=0.3)
+        init = all_mask_init(v, 7)
+        ctx = oracle_ctx(target, init, c0=0.3, gamma=0.0, c_max=0.3)
         trace = decode(
-            noisy_oracle_logits, ctx, all_mask_init(v, 7), DecodeConfig(tau=0.9), BASELINE,
+            noisy_oracle_logits, ctx, init, DecodeConfig(tau=0.9), BASELINE,
             DeterministicRng(0),
         )
         assert trace.nfe == 7
@@ -129,8 +131,8 @@ class TestDecode:
         v = Vocabulary(6)
         rng = DeterministicRng(5)
         target = np.array([int(rng.draw("t", i, 0) * 6) for i in range(12)])
-        ctx = oracle_ctx(target, c0=0.35, gamma=0.8, c_max=0.95)
         init = inject_tokens(v, target, 0.3, DeterministicRng(6))
+        ctx = oracle_ctx(target, init, c0=0.35, gamma=0.8, c_max=0.95)
         dcfg = DecodeConfig(tau=0.9, remask_enabled=True, b0=0.4, lam=0.08, k_max=48)
         trace = decode(noisy_oracle_logits, ctx, init, dcfg, BASELINE, DeterministicRng(7))
         masked = int(init.masked().sum())
@@ -146,8 +148,8 @@ class TestDecode:
         v = Vocabulary(4)
         rng = DeterministicRng(8)
         target = np.array([int(rng.draw("t", i, 0) * 4) for i in range(10)])
-        ctx = oracle_ctx(target, c0=0.4, gamma=0.5, c_max=0.9)
         init = inject_tokens(v, target, 0.5, DeterministicRng(9))
+        ctx = oracle_ctx(target, init, c0=0.4, gamma=0.5, c_max=0.9)
         dcfg = DecodeConfig(tau=0.95, remask_enabled=True, b0=0.6, lam=0.05, k_max=40)
         trace = decode(noisy_oracle_logits, ctx, init, dcfg, BASELINE, DeterministicRng(10))
         remasked = {p for rec in trace.iterations for p, _ in rec.remasked}
@@ -158,7 +160,7 @@ class TestDecode:
         target = np.array([0, 1, 2, 3])
         init = all_mask_init(v, 4)
         decode(
-            noisy_oracle_logits, oracle_ctx(target, c0=1.0, c_max=1.0), init,
+            noisy_oracle_logits, oracle_ctx(target, init, c0=1.0, c_max=1.0), init,
             DecodeConfig(tau=0.5), BASELINE, DeterministicRng(0),
         )
         assert int(init.masked().sum()) == 4
@@ -166,10 +168,11 @@ class TestDecode:
     def test_cap_hit_flags_instead_of_raising(self):
         v = Vocabulary(4)
         target = np.array([0, 1, 2, 3, 0, 1])
-        ctx = oracle_ctx(target, c0=0.3, gamma=0.0, c_max=0.3)
+        init = all_mask_init(v, 6)
+        ctx = oracle_ctx(target, init, c0=0.3, gamma=0.0, c_max=0.3)
         with pytest.warns(UserWarning):
             trace = decode(
-                noisy_oracle_logits, ctx, all_mask_init(v, 6),
+                noisy_oracle_logits, ctx, init,
                 DecodeConfig(tau=0.9, k_max=2), BASELINE, DeterministicRng(0),
             )
         assert trace.capped
@@ -179,13 +182,14 @@ class TestDecode:
     def test_no_warning_when_cap_is_safe(self):
         v = Vocabulary(4)
         target = np.array([0, 1, 2])
+        init = all_mask_init(v, 3)
         import warnings as w
 
         with w.catch_warnings():
             w.simplefilter("error")
             decode(
-                noisy_oracle_logits, oracle_ctx(target, c0=1.0, c_max=1.0),
-                all_mask_init(v, 3), DecodeConfig(tau=0.5, k_max=6), BASELINE,
+                noisy_oracle_logits, oracle_ctx(target, init, c0=1.0, c_max=1.0),
+                init, DecodeConfig(tau=0.5, k_max=6), BASELINE,
                 DeterministicRng(0),
             )
 
@@ -200,7 +204,7 @@ class TestDecode:
 
         init = all_mask_init(v, 4)
         init.embedding_override = np.zeros((4, 2))
-        ctx = oracle_ctx(target, c0=0.3, gamma=0.0, c_max=0.3)
+        ctx = oracle_ctx(target, init, c0=0.3, gamma=0.0, c_max=0.3)
         wcfg = WarmStartConfig(method="embedding-interpolation", override_persistence="first-iteration")
         decode(spy, ctx, init, DecodeConfig(tau=0.9), wcfg, DeterministicRng(0))
         assert seen[0] is True
@@ -217,16 +221,28 @@ class TestDecode:
 
         init = all_mask_init(v, 4)
         init.embedding_override = np.zeros((4, 2))
-        ctx = oracle_ctx(target, c0=0.3, gamma=0.0, c_max=0.3)
+        ctx = oracle_ctx(target, init, c0=0.3, gamma=0.0, c_max=0.3)
         decode(spy, ctx, init, DecodeConfig(tau=0.9), BASELINE, DeterministicRng(0))
         assert all(seen)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_denoiser_output_raises(self, bad):
+        v = Vocabulary(3)
+
+        def broken(state, ctx, rows):
+            pi = np.full((len(rows), 3), 1.0 / 3.0)
+            pi[-1, 1] = bad
+            return pi
+
+        with pytest.raises(ValueError, match="non-finite"):
+            decode(broken, None, all_mask_init(v, 4), DecodeConfig(tau=0.9), BASELINE, DeterministicRng(0))
 
     def test_full_injection_returns_immediately(self):
         v = Vocabulary(4)
         target = np.array([0, 1, 2, 3])
         init = inject_tokens(v, target, 1.0, DeterministicRng(0))
         trace = decode(
-            noisy_oracle_logits, oracle_ctx(target), init, DecodeConfig(tau=0.9), BASELINE,
+            noisy_oracle_logits, oracle_ctx(target, init), init, DecodeConfig(tau=0.9), BASELINE,
             DeterministicRng(0),
         )
         assert trace.nfe == 0
@@ -236,21 +252,22 @@ class TestDecode:
 
 
 class TestScriptedTraceEquivalence:
-    """Hand-enumerable instance: scripted logits on a 3-token, 3-word problem."""
+    """Hand-enumerable instance: scripted probability rows on a 3-token,
+    3-word problem."""
 
     def test_three_token_trace_matches_reference(self):
         v = Vocabulary(3)
         script = [
-            np.log(np.array([[0.80, 0.15, 0.05], [0.10, 0.50, 0.40], [0.20, 0.15, 0.65]])),
-            np.log(np.array([[0.30, 0.40, 0.30], [0.25, 0.70, 0.05], [0.10, 0.10, 0.80]])),
-            np.log(np.array([[0.05, 0.05, 0.90], [0.90, 0.05, 0.05], [0.33, 0.33, 0.34]])),
+            np.array([[0.80, 0.15, 0.05], [0.10, 0.50, 0.40], [0.20, 0.15, 0.65]]),
+            np.array([[0.30, 0.40, 0.30], [0.25, 0.70, 0.05], [0.10, 0.10, 0.80]]),
+            np.array([[0.05, 0.05, 0.90], [0.90, 0.05, 0.05], [0.33, 0.33, 0.34]]),
         ]
 
         def scripted(arrays):
             it = iter(arrays)
             return lambda state, ctx, rows: next(it)[rows]
 
-        ctx = DenoiseContext(target=np.array([0, 1, 2]), params=None)
+        ctx = None  # the scripted denoiser reads no context
         trace = decode(
             scripted(script), ctx, all_mask_init(v, 3), DecodeConfig(tau=0.75), BASELINE,
             DeterministicRng(0),
@@ -280,12 +297,12 @@ class TestScriptedTraceEquivalence:
             v = Vocabulary(V)
             target = np.array([int(rng.draw("t", i, 0) * V) for i in range(n)])
             mode = "credulous" if seed % 2 else "faithful"
-            ctx = oracle_ctx(target, c0=0.31, gamma=0.47, c_max=0.93, mode=mode)
             prop = (target + 1) % V
             starts = [all_mask_init(v, n), inject_tokens(v, prop, 0.4, DeterministicRng(seed + 50))]
             for init in starts:
                 if int(init.masked().sum()) == 0:
                     continue
+                ctx = oracle_ctx(target, init, c0=0.31, gamma=0.47, c_max=0.93, mode=mode)
                 for tau in (0.5, 0.9):
                     trace = decode(
                         noisy_oracle_logits, ctx, init, DecodeConfig(tau=tau), BASELINE,

@@ -5,31 +5,36 @@ import pytest
 
 from warmdiff.bigram import BigramModel
 from warmdiff.core import DeterministicRng, DiffusionState, EmbeddingTable, Vocabulary, all_mask_init
-from warmdiff.denoiser import DenoiseContext, NoisyOracleParams, markov_logits, noisy_oracle_logits, prepare
+from warmdiff.denoiser import NoisyOracleParams, markov_logits, noisy_oracle_logits, prepare
 
 
-def oracle_ctx(target, **kw):
-    return DenoiseContext(target=np.asarray(target), params=NoisyOracleParams(**kw))
+def oracle_ctx(target, state, **kw):
+    return prepare("noisy-oracle", target, NoisyOracleParams(**kw), state)[1]
+
+
+def markov_ctx(target, state, model):
+    return prepare("markov", target, model, state)[1]
 
 
 class TestContracts:
     def test_output_shape_is_n_by_v(self):
         v = Vocabulary(5)
         state = all_mask_init(v, 3)
-        out = noisy_oracle_logits(state, oracle_ctx([0, 1, 2]))
+        out = noisy_oracle_logits(state, oracle_ctx([0, 1, 2], state))
         assert out.shape == (3, 5)
 
     def test_two_identical_calls_bit_identical(self):
         v = Vocabulary(4)
         state = DiffusionState(vocab=v, tokens=np.array([0, 4, 2]))
-        ctx = oracle_ctx([0, 1, 2], mode="credulous")
+        ctx = oracle_ctx([0, 1, 2], state, mode="credulous")
         a = noisy_oracle_logits(state, ctx)
         b = noisy_oracle_logits(state, ctx)
         assert a.tobytes() == b.tobytes()
 
     def test_fully_masked_state_still_yields_full_matrix(self):
         v = Vocabulary(3)
-        out = noisy_oracle_logits(all_mask_init(v, 4), oracle_ctx([0, 1, 2, 0]))
+        state = all_mask_init(v, 4)
+        out = noisy_oracle_logits(state, oracle_ctx([0, 1, 2, 0], state))
         assert out.shape == (4, 3)
         assert np.isfinite(out).all()
 
@@ -49,7 +54,7 @@ class TestNoisyOracle:
         v = Vocabulary(6)
         target = np.array([3, 1, 4, 1, 5])
         state = all_mask_init(v, 5)
-        pi = np.exp(noisy_oracle_logits(state, oracle_ctx(target, c0=1.0, c_max=1.0)))
+        pi = noisy_oracle_logits(state, oracle_ctx(target, state, c0=1.0, c_max=1.0))
         assert (pi.argmax(axis=1) == target).all()
         assert np.allclose(pi[np.arange(5), target], 1.0, atol=1e-9)
 
@@ -57,21 +62,37 @@ class TestNoisyOracle:
         # f = 0, V = 5: target gets c0, others split the rest evenly.
         v = Vocabulary(5)
         target = np.array([1, 2, 3, 0])
-        pi = np.exp(noisy_oracle_logits(all_mask_init(v, 4), oracle_ctx(target, c0=0.4, gamma=0.6)))
+        state = all_mask_init(v, 4)
+        pi = noisy_oracle_logits(state, oracle_ctx(target, state, c0=0.4, gamma=0.6))
         for i in range(4):
             assert abs(pi[i, target[i]] - 0.4) < 1e-12
             others = np.delete(pi[i], target[i])
             assert np.allclose(others, 0.15, atol=1e-12)
 
+    def test_numpy_scalar_params_give_the_same_levels(self):
+        # A sweep may build params from np.linspace; numpy 2 reprs its
+        # scalars as "np.float64(0.4)", which is no decimal literal.
+        v = Vocabulary(7)
+        target = np.array([1, 2, 3, 0, 6, 5])
+        state = all_mask_init(v, 6)
+        # Scalars first: levels are cached per parameter set, and equal keys
+        # would hand back the float-built table.
+        scalars = oracle_ctx(target, state, c0=np.float64(0.35), gamma=np.linspace(0, 0.55, 3)[2], c_max=np.float64(0.97))
+        floats = oracle_ctx(target, state, c0=0.35, gamma=0.55, c_max=0.97)
+        ints = oracle_ctx(target, state, c0=0, gamma=1, c_max=1)
+        assert floats.levels.tobytes() == scalars.levels.tobytes()
+        assert ints.levels.tolist() == [r / 6 for r in range(7)]
+        assert noisy_oracle_logits(state, floats).tobytes() == noisy_oracle_logits(state, scalars).tobytes()
+
     def test_confidence_grows_with_correct_reveals(self):
         v = Vocabulary(5)
         target = np.array([0, 1, 2, 3])
-        ctx = oracle_ctx(target, c0=0.3, gamma=0.5, c_max=0.95)
+        ctx = oracle_ctx(target, all_mask_init(v, 4), c0=0.3, gamma=0.5, c_max=0.95)
         confs = []
         for revealed in range(4):
             tokens = np.full(4, v.mask_id)
             tokens[:revealed] = target[:revealed]
-            pi = np.exp(noisy_oracle_logits(DiffusionState(vocab=v, tokens=tokens), ctx))
+            pi = noisy_oracle_logits(DiffusionState(vocab=v, tokens=tokens), ctx)
             confs.append(pi[3, target[3]])
         assert all(a <= b + 1e-12 for a, b in zip(confs, confs[1:]))
 
@@ -79,15 +100,15 @@ class TestNoisyOracle:
         v = Vocabulary(5)
         target = np.array([0, 1, 2, 3])
         wrong = DiffusionState(vocab=v, tokens=np.array([4, 4, 5, 5]))  # two wrong reveals
-        pi = np.exp(noisy_oracle_logits(wrong, oracle_ctx(target, c0=0.3, gamma=0.5)))
+        pi = noisy_oracle_logits(wrong, oracle_ctx(target, wrong, c0=0.3, gamma=0.5))
         assert abs(pi[2, target[2]] - 0.3) < 1e-12  # f counts correct reveals only
 
     def test_credulous_counts_any_reveal(self):
         v = Vocabulary(5)
         target = np.array([0, 1, 2, 3])
         wrong = DiffusionState(vocab=v, tokens=np.array([4, 4, 5, 5]))
-        ctx = oracle_ctx(target, c0=0.3, gamma=0.5, mode="credulous", window=1)
-        pi = np.exp(noisy_oracle_logits(wrong, ctx))
+        ctx = oracle_ctx(target, wrong, c0=0.3, gamma=0.5, mode="credulous", window=1)
+        pi = noisy_oracle_logits(wrong, ctx)
         assert abs(pi[2, target[2]] - (0.3 + 0.5 * 0.5)) < 1e-12
 
     def test_credulous_majority_flips_to_distractor(self):
@@ -95,34 +116,32 @@ class TestNoisyOracle:
         # width-3 window around position 2 holds 3 revealed tokens, all wrong.
         v = Vocabulary(5)
         target = np.array([0, 1, 2, 3, 4])
-        tokens = np.array([5, 2, 3, 4, 5])
-        ctx = oracle_ctx(target, mode="credulous", window=3)
-        pi = np.exp(noisy_oracle_logits(DiffusionState(vocab=v, tokens=tokens), ctx))
+        state = DiffusionState(vocab=v, tokens=np.array([5, 2, 3, 4, 5]))
+        pi = noisy_oracle_logits(state, oracle_ctx(target, state, mode="credulous", window=3))
         assert pi[2].argmax() == (target[2] + 1) % 5
 
     def test_credulous_tie_keeps_target(self):
         # One wrong of two revealed neighbors is not a strict majority.
         v = Vocabulary(5)
         target = np.array([0, 1, 2, 3, 4])
-        tokens = np.array([0, 5, 3, 5, 5])  # pos0 correct, pos2 wrong, pos1 masked between
-        ctx = oracle_ctx(target, mode="credulous", window=3)
-        pi = np.exp(noisy_oracle_logits(DiffusionState(vocab=v, tokens=tokens), ctx))
+        # pos0 correct, pos2 wrong, pos1 masked between
+        state = DiffusionState(vocab=v, tokens=np.array([0, 5, 3, 5, 5]))
+        pi = noisy_oracle_logits(state, oracle_ctx(target, state, mode="credulous", window=3))
         assert pi[1].argmax() == target[1]
 
     def test_credulous_no_reveals_keeps_target(self):
         v = Vocabulary(4)
         target = np.array([0, 1, 2])
-        ctx = oracle_ctx(target, mode="credulous", window=3, c0=0.5)
-        pi = np.exp(noisy_oracle_logits(all_mask_init(v, 3), ctx))
+        state = all_mask_init(v, 3)
+        pi = noisy_oracle_logits(state, oracle_ctx(target, state, mode="credulous", window=3, c0=0.5))
         assert (pi.argmax(axis=1) == target).all()
 
     def test_rows_are_distributions(self):
         v = Vocabulary(7)
         target = np.array([0, 1, 2, 3, 4, 5])
-        tokens = np.array([0, 7, 2, 7, 1, 7])
-        ctx = oracle_ctx(target, c0=0.2, gamma=0.9, mode="credulous")
-        pi = np.exp(noisy_oracle_logits(DiffusionState(vocab=v, tokens=tokens), ctx))
-        assert np.allclose(pi.sum(axis=1), 1.0, atol=1e-6)
+        state = DiffusionState(vocab=v, tokens=np.array([0, 7, 2, 7, 1, 7]))
+        pi = noisy_oracle_logits(state, oracle_ctx(target, state, c0=0.2, gamma=0.9, mode="credulous"))
+        assert np.allclose(pi.sum(axis=1), 1.0, atol=1e-12)
 
 
 class TestEmbeddingBonus:
@@ -138,19 +157,19 @@ class TestEmbeddingBonus:
         state.embedding_override = (1 - alpha) * mask_vec + alpha * emb
         return state
 
-    def logits(self, state, table=None, **kw):
+    def probs(self, state, table=None, **kw):
         table = self.table if table is None else table
         denoiser, ctx = prepare("noisy-oracle", self.target, NoisyOracleParams(**kw), state, table)
         return denoiser(state, ctx)
 
     def test_alpha_zero_is_exactly_neutral(self):
-        with_override = self.logits(self.state_with_override(0.0), c0=0.4, eta=0.8)
-        without = self.logits(all_mask_init(self.v, 4), c0=0.4, eta=0.8)
+        with_override = self.probs(self.state_with_override(0.0), c0=0.4, eta=0.8)
+        without = self.probs(all_mask_init(self.v, 4), c0=0.4, eta=0.8)
         assert with_override.tobytes() == without.tobytes()
 
     def test_full_override_raises_masked_confidence(self):
-        pi_warm = np.exp(self.logits(self.state_with_override(1.0), c0=0.4, eta=0.5, c_max=0.99))
-        pi_cold = np.exp(self.logits(self.state_with_override(0.0), c0=0.4, eta=0.5, c_max=0.99))
+        pi_warm = self.probs(self.state_with_override(1.0), c0=0.4, eta=0.5, c_max=0.99)
+        pi_cold = self.probs(self.state_with_override(0.0), c0=0.4, eta=0.5, c_max=0.99)
         warm = pi_warm[np.arange(4), self.target]
         cold = pi_cold[np.arange(4), self.target]
         assert (warm >= cold - 1e-12).all()
@@ -159,7 +178,7 @@ class TestEmbeddingBonus:
     def test_bonus_skips_fixed_positions(self):
         state = self.state_with_override(1.0)
         state.tokens[0] = self.target[0]
-        pi = np.exp(self.logits(state, c0=0.4, gamma=0.0, eta=0.5))
+        pi = self.probs(state, c0=0.4, gamma=0.0, eta=0.5)
         assert abs(pi[0, self.target[0]] - 0.4) < 1e-12
 
     def test_missing_table_rejected(self):
@@ -170,7 +189,7 @@ class TestEmbeddingBonus:
         table = EmbeddingTable(rows=np.zeros((5, 3)))
         state = all_mask_init(self.v, 4)
         state.embedding_override = np.zeros((4, 3))
-        out = self.logits(state, table, eta=0.9)
+        out = self.probs(state, table, eta=0.9)
         assert np.isfinite(out).all()
 
 
@@ -201,34 +220,32 @@ class TestMarkovLogits:
     def test_no_reveals_degenerates_to_unigram(self):
         model = BigramModel.fit([[0, 2, 1, 1, 0]], 3)
         v = Vocabulary(3)
-        ctx = DenoiseContext(target=np.array([0, 1, 2]), params=model)
-        out = markov_logits(all_mask_init(v, 3), ctx)
-        expected = np.log(model.unigram())
+        state = all_mask_init(v, 3)
+        out = markov_logits(state, markov_ctx([0, 1, 2], state, model))
+        expected = model.unigram()
         for i in range(3):
             assert np.allclose(out[i], expected, atol=1e-12)
 
     def test_alternating_corpus_prefers_one_after_zero(self):
         model = BigramModel.fit([[0, 1, 0, 1, 0, 1, 0, 1]], 2)
         v = Vocabulary(2)
-        tokens = np.array([0, 2, 2])
-        ctx = DenoiseContext(target=np.array([0, 1, 0]), params=model)
-        out = markov_logits(DiffusionState(vocab=v, tokens=tokens), ctx)
+        state = DiffusionState(vocab=v, tokens=np.array([0, 2, 2]))
+        out = markov_logits(state, markov_ctx([0, 1, 0], state, model))
         assert out[1].argmax() == 1
 
     def test_mixture_matches_hand_computed_row(self):
         seqs = [[0, 1, 2, 0, 1, 2, 2]]
         model = BigramModel.fit(seqs, 3)
         v = Vocabulary(3)
-        tokens = np.array([0, 3, 2])  # left reveal 0, right reveal 2
-        ctx = DenoiseContext(target=np.array([0, 1, 2]), params=model)
-        out = markov_logits(DiffusionState(vocab=v, tokens=tokens), ctx)
+        state = DiffusionState(vocab=v, tokens=np.array([0, 3, 2]))  # left reveal 0, right reveal 2
+        out = markov_logits(state, markov_ctx([0, 1, 2], state, model))
 
         pairs = Counter(zip(seqs[0], seqs[0][1:]))
         fwd = np.array([pairs[(0, b)] + 1 for b in range(3)], float)
         fwd /= fwd.sum()
         bwd = np.array([pairs[(a, 2)] + 1 for a in range(3)], float)
         bwd /= bwd.sum()
-        assert np.allclose(np.exp(out[1]), 0.5 * fwd + 0.5 * bwd, atol=1e-12)
+        assert np.allclose(out[1], 0.5 * fwd + 0.5 * bwd, atol=1e-12)
 
     def test_uniform_corpus_gives_uniform_rows(self):
         seq = []
@@ -239,19 +256,17 @@ class TestMarkovLogits:
         counts = np.full((3, 3), 10.0)
         model = BigramModel(3, counts, token_counts=np.full(3, 30.0))
         v = Vocabulary(3)
-        tokens = np.array([1, 3, 3])
-        ctx = DenoiseContext(target=np.array([0, 1, 2]), params=model)
-        out = np.exp(markov_logits(DiffusionState(vocab=v, tokens=tokens), ctx))
+        state = DiffusionState(vocab=v, tokens=np.array([1, 3, 3]))
+        out = markov_logits(state, markov_ctx([0, 1, 2], state, model))
         assert np.allclose(out, 1.0 / 3.0, atol=1e-9)
 
-    def test_rows_are_log_distributions(self):
+    def test_rows_are_distributions(self):
         model = BigramModel.fit([[0, 1, 3, 2, 0, 1]], 4)
         v = Vocabulary(4)
-        tokens = np.array([4, 1, 4, 2, 4])
-        ctx = DenoiseContext(target=np.array([0, 1, 2, 3, 0]), params=model)
-        out = markov_logits(DiffusionState(vocab=v, tokens=tokens), ctx)
-        assert np.isfinite(out).all()
-        assert np.allclose(np.exp(out).sum(axis=1), 1.0, atol=1e-6)
+        state = DiffusionState(vocab=v, tokens=np.array([4, 1, 4, 2, 4]))
+        out = markov_logits(state, markov_ctx([0, 1, 2, 3, 0], state, model))
+        assert (out > 0).all()
+        assert np.allclose(out.sum(axis=1), 1.0, atol=1e-12)
 
     def test_vocab_mismatch_rejected(self):
         model = BigramModel.fit([[0, 1]], 2)

@@ -1,13 +1,15 @@
 """Bit-exact equivalence of the precomputed denoisers with per-position loops.
 
 The reference functions below are the straightforward form of both
-denoisers: the oracle's embedding bonus recomputed per masked position on
-every call, and the bigram mixture read row by row from the smoothing
-formulas with left/right scans in Python. `prepare` + the library denoisers
-must give the same logit bytes on every input, for all rows and for any
-subset of them. The markov proposer must draw what a per-row inverse-CDF
-sampler draws.
+denoisers: the oracle's confidence from exact fractions and its embedding
+bonus recomputed per masked position on every call, and the bigram mixture
+read row by row from the smoothing formulas with left/right scans in
+Python. `prepare` + the library denoisers must give the same probability
+bytes on every input, for all rows and for any subset of them. The markov
+proposer must draw what a per-row inverse-CDF sampler draws.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,11 +19,9 @@ from hypothesis import strategies as st
 from warmdiff.bigram import BigramModel
 from warmdiff.core import DeterministicRng, DiffusionState, EmbeddingTable, Vocabulary, all_mask_init
 from warmdiff.decoder import DecodeConfig, decode
-from warmdiff.denoiser import NoisyOracleParams, markov_logits, noisy_oracle_logits, prepare
+from warmdiff.denoiser import DenoiseContext, NoisyOracleParams, markov_logits, noisy_oracle_logits, prepare
 from warmdiff.proposal import propose_markov
-from warmdiff.warmstart import WarmStartConfig
-
-FLOOR = 1e-12
+from warmdiff.warmstart import WarmStartConfig, interpolate_embeddings
 
 
 def ref_cosine(u, v):
@@ -36,10 +36,11 @@ def reference_oracle(state, target, params, table):
     n, V, mask = len(state.tokens), state.vocab.size, state.vocab.mask_id
     revealed = [int(t) != mask for t in state.tokens]
     if params.mode == "faithful":
-        f = float(sum(1 for i in range(n) if revealed[i] and state.tokens[i] == target[i])) / n
+        r = sum(1 for i in range(n) if revealed[i] and state.tokens[i] == target[i])
     else:
-        f = float(sum(revealed)) / n
-    conf = np.full(n, min(params.c_max, params.c0 + params.gamma * f), dtype=np.float64)
+        r = sum(revealed)
+    c0, gamma, c_max = (Fraction(repr(x)) for x in (params.c0, params.gamma, params.c_max))
+    conf = np.full(n, float(min(c_max, c0 + gamma * Fraction(r, n))), dtype=np.float64)
     if state.embedding_override is not None and params.eta > 0.0:
         mask_vec = table.mask_vector()
         for i in range(n):
@@ -60,7 +61,7 @@ def reference_oracle(state, target, params, table):
     for i in range(n):
         pi[i] = (1.0 - conf[i]) / (V - 1)
         pi[i, intended[i]] = conf[i]
-    return np.log(np.maximum(pi, FLOOR))
+    return pi
 
 
 def reference_sample_index(probs, u):
@@ -79,7 +80,7 @@ def reference_markov(state, model):
         fwd = model.next_probs(left[-1]) if left else model.unigram()
         bwd = model.prev_probs(right[0]) if right else model.unigram()
         rows[i] = 0.5 * fwd + 0.5 * bwd
-    return np.log(rows)
+    return rows
 
 
 unit = st.floats(-1.0, 1.0, allow_nan=False, width=64)
@@ -150,6 +151,37 @@ def test_oracle_matches_per_position_loop(problem, params, data):
     assert denoiser(state, ctx).tobytes() == expected.tobytes()
     rows = data.draw(row_subsets(len(target)))
     assert denoiser(state, ctx, rows).tobytes() == expected[rows].tobytes()
+
+
+def reference_bonus(override, target, eta, table):
+    """The per-position bonus loop: both cosines at every position."""
+    mask_vec, rows = table.mask_vector(), table.rows
+    return np.array(
+        [eta * (ref_cosine(override[i], rows[t]) - ref_cosine(mask_vec, rows[t])) for i, t in enumerate(target)]
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(problems(), st.floats(0.0, 3.0, exclude_min=True), st.floats(0.0, 1.0), st.data())
+def test_bonus_matches_per_position_loop(problem, eta, rho, data):
+    """Overrides as interpolation leaves them (dropped rows are copies of the
+    mask vector) and as drawn by `problems`; the table's mask cosines are
+    computed once and reused by a second run."""
+    state, target, table = problem
+    n = len(target)
+    proposal = np.array(data.draw(st.lists(st.integers(0, table.num_tokens - 1), min_size=n, max_size=n)))
+    alpha = data.draw(st.sampled_from([0.0, 1.0, data.draw(st.floats(0.0, 1.0))]))
+    rng = DeterministicRng(data.draw(st.integers(0, 2**32)))
+    interpolated = interpolate_embeddings(proposal, table, alpha, rho, rng)
+    params = NoisyOracleParams(eta=eta)
+    for override in (interpolated, state.embedding_override):
+        if override is None:
+            continue
+        init = all_mask_init(state.vocab, len(target))
+        init.embedding_override = override
+        _, ctx = prepare("noisy-oracle", target, params, init, table)
+        assert ctx.bonus.tobytes() == reference_bonus(override, target, eta, table).tobytes()
+    assert table.mask_cosines is table.mask_cosines
 
 
 @settings(max_examples=100, deadline=None)
@@ -287,3 +319,9 @@ def test_override_without_a_prepared_bonus_raises():
     assert ctx.bonus is None
     with pytest.raises(ValueError):
         denoiser(OVERRIDDEN, ctx)
+
+
+def test_context_built_by_hand_raises():
+    """Without `prepare` the oracle has no exact confidence levels to read."""
+    with pytest.raises(ValueError, match="levels"):
+        noisy_oracle_logits(all_mask_init(V3, 2), DenoiseContext(target=[0, 1], params=NoisyOracleParams()))

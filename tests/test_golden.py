@@ -76,28 +76,44 @@ def write_corpus(path, vocab=16, sequences=24, length=32):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def output_digest(grid):
-    """sha256 of the sweep's CSV followed by every run's JSON-lines trace."""
-    lines = csv_lines(sweep(grid))
+def output_digests(grid):
+    """sha256 of the sweep's CSV, and of every run's JSON-lines trace."""
+    csv = csv_lines(sweep(grid))
+    traces = []
     for point in expand_grid(grid):
         cfg = build_config(point)
         for r in range(cfg.num_runs):
             result, trace, _ = run_one(cfg, r)
             header = {"config": config_to_dict(cfg), "run": result.run, "seed": result.seed}
-            lines += trace_lines(trace, header)
-    return hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
+            traces += trace_lines(trace, header)
+    return tuple(hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest() for lines in (csv, traces))
 
 
 @pytest.mark.parametrize(
-    "grid, digest",
+    "grid, csv_digest, trace_digest",
     [
-        (INJECT_REMASK, "271a8821788d2ac3a0c3174226040a2546c94813c3a42194c4cd604aad310ac4"),
-        (EMBED, "889212e701f8d97e6feeb7e3664242d17aa8ad67ce81097758eed171b6357c92"),
-        (MARKOV_SWEEP, "ea2603d243c6d51b1bdda6a668eac8c0f1d0730ca1cf87cfeeb7cd07739fe9f4"),
+        # The CSV digests have not moved since decoding read logits through a
+        # softmax. The trace digests moved when the denoisers began to return
+        # probability rows: their confidences lost the ulps of that round trip.
+        (
+            INJECT_REMASK,
+            "2a1d16cb2b0e5fda387024e59d05071949108280057a88332475c0ebd0d26908",
+            "dc41fd0aa7e41225734bd08d6a6c8eb9300b73abf85c15f50e8cf8075c94c62d",
+        ),
+        (
+            EMBED,
+            "4059f17cbef6ea15e2bba7439be5c5ca9aa701591a856d01964e138051701c87",
+            "4f746537dbbf7dfe20193fe2e3b5b3b619b6ad6f29ba1eefe951be2ceae5abc1",
+        ),
+        (
+            MARKOV_SWEEP,
+            "0b0853453aa61824ec37425a2cd02ebdce39f0c7eccb0c584b84986acfe106b2",
+            "d600f84aa55478853d4d5c87590d53e21b8c92e407d46d2115d97d5a1a521fae",
+        ),
     ],
     ids=["inject-remask", "embed", "markov-sweep"],
 )
-def test_output_bytes_are_pinned(grid, digest, tmp_path, monkeypatch):
+def test_output_bytes_are_pinned(grid, csv_digest, trace_digest, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     write_corpus(tmp_path / "corpus.txt")
-    assert output_digest(grid) == digest
+    assert output_digests(grid) == (csv_digest, trace_digest)

@@ -421,3 +421,13 @@ class TestInvariantChecking:
         trace.iterations[2].unmasked.clear()
         problems = check_trace_invariants(trace, init)
         assert any("no position unmasked" in p for p in problems)
+
+    def test_confidence_one_ulp_above_one_is_caught(self):
+        cfg = build_config({"n": 6, "num_runs": 1, "denoiser.c0": 1.0, "denoiser.c_max": 1.0})
+        _, trace, init = run_one(cfg, 0)
+        assert check_trace_invariants(trace, init) == []
+        assert [c for _, _, c in trace.iterations[0].unmasked] == [1.0] * 6
+        pos, tok, _ = trace.iterations[0].unmasked[0]
+        trace.iterations[0].unmasked[0] = (pos, tok, float(np.nextafter(1.0, 2.0)))
+        problems = check_trace_invariants(trace, init)
+        assert any("outside [0, 1]" in p for p in problems)

@@ -1,8 +1,8 @@
 """Live-row decoding gives the bytes of full-matrix decoding.
 
 `full_matrix_decode` is the decode loop as it was before `decode` asked the
-denoiser for the live rows only: every call builds and softmaxes the whole
-n x V matrix and reads confidences from it. Over faithful and credulous
+denoiser for the live rows only: every call builds the whole n x V
+probability matrix and reads confidences from it. Over faithful and credulous
 oracles, embedding overrides with both persistence modes, the markov
 denoiser, remasking on and off, and thresholds equal to confidences the
 loop actually emits, `decode` must produce the same trace bytes and tokens.
@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from warmdiff.bigram import BigramModel
-from warmdiff.core import DeterministicRng, EmbeddingTable, Vocabulary, softmax
+from warmdiff.core import DeterministicRng, EmbeddingTable, Vocabulary
 from warmdiff.decoder import (
     DecodeConfig,
     DecodeTrace,
@@ -38,7 +38,7 @@ def full_matrix_decode(denoiser, ctx, init, dcfg, wcfg, rng):
         if wcfg.override_persistence == "first-iteration" and k > 1:
             state.embedding_override = None
 
-        pi = softmax(denoiser(state, ctx, None))
+        pi = denoiser(state, ctx, None)
         conf = pi.max(axis=1)
         fixed = np.flatnonzero(~masked)
         conf[fixed] = pi[fixed, state.tokens[fixed]]

@@ -118,6 +118,15 @@ def test_quick_start_experiment_builds():
     assert (cfg.n, cfg.num_runs, cfg.warmstart.method) == (32, 200, "token-injection")
 
 
+def test_ci_runs_the_quick_start_experiment():
+    """The workflow's console-script step writes the README's experiment.txt."""
+    workflow = (Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    step = r"cat > experiment\.txt <<'EOF'\n(.*?)\n *EOF\n *warmdiff run --config experiment\.txt\n"
+    match = re.search(step, workflow, re.S)
+    assert match, "no console-script step for experiment.txt"
+    assert [line.strip() for line in match.group(1).splitlines()] == quick_start_file("experiment.txt").splitlines()
+
+
 def test_quick_start_grid_expands_to_six_points():
     points = expand_grid(parse_config_text(quick_start_file("grid.txt"), allow_sweep_lists=True))
     assert len(points) == 6
