@@ -47,6 +47,10 @@ class BigramModel:
         uni = self.unigram()
         self.next_table = np.vstack([*map(self.next_probs, range(num_tokens)), uni])
         self.prev_table = np.vstack([*map(self.prev_probs, range(num_tokens)), uni])
+        # The markov denoiser's mixture weights, applied once: its row is
+        # half_next_table[before] + half_prev_table[after].
+        self.half_next_table = 0.5 * self.next_table
+        self.half_prev_table = 0.5 * self.prev_table
         # Row a of `next_table` as a running sum, for inverse-CDF sampling
         # with bisect; cumsum adds left to right, as a per-row cumsum would.
         # array("d") rows bisect as fast as lists in a quarter of the memory.

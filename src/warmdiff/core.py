@@ -7,6 +7,7 @@ shared numeric primitives (softmax, all-mask init).
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -66,10 +67,14 @@ class DiffusionState:
         if ((self.tokens < 0) | (self.tokens > self.vocab.mask_id)).any():
             raise ValueError("token id outside [0, mask_id]")
         n = self.tokens.size
-        if any(i < 0 or i >= n for i in self.injected):
-            raise ValueError("injected position out of range")
-        if any(self.tokens[i] == self.vocab.mask_id for i in self.injected):
-            raise ValueError("injected position holds a mask token")
+        if self.injected:
+            # A Python int beyond int64 makes an object array, which the range
+            # check still rejects.
+            injected = np.array(list(self.injected))
+            if ((injected < 0) | (injected >= n)).any():
+                raise ValueError("injected position out of range")
+            if (self.tokens[injected] == self.vocab.mask_id).any():
+                raise ValueError("injected position holds a mask token")
         if self.embedding_override is not None:
             self.embedding_override = np.asarray(self.embedding_override, dtype=np.float64)
             if self.embedding_override.shape[0] != n:
@@ -97,7 +102,7 @@ class EmbeddingTable:
     rows: np.ndarray
 
     def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=np.float64)
+        rows = np.ascontiguousarray(self.rows, dtype=np.float64)
         object.__setattr__(self, "rows", rows)
         if rows.ndim != 2 or rows.shape[0] < 3 or rows.shape[1] < 1:
             raise ValueError("embedding table must be (V+1) x d with V >= 2, d >= 1")
@@ -117,11 +122,16 @@ class EmbeddingTable:
         return self.rows[self.mask_id]
 
     @cached_property
-    def mask_cosines(self) -> np.ndarray:
-        """_cosine(mask vector, row t) for each real token t; computed on
-        first use, then kept with the table."""
-        mask_vec = self.mask_vector()
-        return np.array([_cosine(mask_vec, row) for row in self.rows[: self.mask_id]])
+    def row_norms(self) -> list[float]:
+        """`_norm` of each row; computed on first use, then kept with the table."""
+        return [_norm(row) for row in self.rows]
+
+    @cached_property
+    def mask_cosines(self) -> list[float]:
+        """The cosine of the mask vector with row t, for each real token t;
+        computed on first use, then kept with the table."""
+        mask_vec, norms = self.mask_vector(), self.row_norms
+        return [_cosine(mask_vec, row, norms[-1], nv) for row, nv in zip(self.rows[:-1], norms)]
 
     @classmethod
     def random(cls, vocab: Vocabulary, dim: int, rng: "DeterministicRng") -> "EmbeddingTable":
@@ -166,14 +176,19 @@ def all_mask_init(vocab: Vocabulary, n: int) -> DiffusionState:
     return DiffusionState(vocab=vocab, tokens=tokens)
 
 
-def _cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity of two vectors; 0 when either is zero, so degenerate
-    rows stay neutral."""
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
+def _norm(u: np.ndarray) -> float:
+    """np.linalg.norm of a contiguous 1-d float64 vector, bit for bit: numpy
+    computes it as sqrt(u.dot(u)), and both square roots are correctly
+    rounded."""
+    return math.sqrt(u.dot(u))
+
+
+def _cosine(u: np.ndarray, v: np.ndarray, nu: float, nv: float) -> float:
+    """Cosine similarity of two vectors with norms nu and nv; 0 when either
+    is zero, so degenerate rows stay neutral."""
     if nu == 0.0 or nv == 0.0:
         return 0.0
-    return float(np.dot(u, v) / (nu * nv))
+    return float(u.dot(v) / (nu * nv))
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -77,21 +77,22 @@ class DecodeTrace:
 
 
 def confidences(pi: np.ndarray) -> np.ndarray:
-    """Per-row confidence: the max probability. Decoding reads it at masked
-    rows only."""
-    return pi.max(axis=1)
+    """Per-row confidence: the max probability, read at the row's argmax (a
+    gather is cheaper than a max along short rows). Decoding reads it at
+    masked rows only."""
+    return pi[np.arange(len(pi)), pi.argmax(axis=1)]
 
 
 def select_unmask(conf: np.ndarray, masked: np.ndarray, tau: float) -> np.ndarray:
     """Masked positions to unmask: all with conf strictly above tau, else the
     single most confident one (lowest index on ties)."""
-    if not masked.any():
+    scores = np.where(masked, conf, -np.inf)
+    best = scores.argmax()
+    if scores[best] > tau:
+        return (scores > tau).nonzero()[0]
+    if not masked[best]:
         raise ValueError("select_unmask requires at least one masked position")
-    hits = np.flatnonzero(masked & (conf > tau))
-    if hits.size:
-        return hits
-    forced = np.where(masked, conf, -np.inf)
-    return np.array([int(np.argmax(forced))], dtype=np.int64)
+    return np.array([best], dtype=np.int64)
 
 
 def remask_rates(c_bar: np.ndarray, k: int, b0: float, lam: float) -> np.ndarray:
@@ -150,8 +151,13 @@ def decode(
 
     trace = DecodeTrace()
     k = 0
-    masked = state.masked()  # refreshed once per iteration, after unmask and remask
-    while masked.any() and k < dcfg.k_max:
+    # Carried across iterations and updated only where one unmasks or
+    # remasks: the masked positions, their count, and (when remasking) the
+    # still-injected positions in ascending order.
+    masked = state.masked()
+    n_masked = int(np.count_nonzero(masked))
+    eligible = np.array(sorted(state.injected), dtype=np.int64) if dcfg.remask_enabled else np.empty(0, np.int64)
+    while n_masked and k < dcfg.k_max:
         k += 1
         if wcfg.override_persistence == "first-iteration" and k > 1:
             state.embedding_override = None
@@ -159,12 +165,11 @@ def decode(
         # Live rows: the masked positions, plus the injected ones whose
         # current-token probability remasking reads. Row i of pi is position
         # rows[i]; rows ascend, so row order breaks ties like position order.
-        live, eligible = masked, None
-        if dcfg.remask_enabled and state.injected:
-            eligible = np.array(sorted(state.injected), dtype=np.int64)
+        live = masked
+        if eligible.size:
             live = masked.copy()
             live[eligible] = True
-        rows = np.flatnonzero(live)
+        rows = live.nonzero()[0]
         pi = denoiser(state, ctx, rows)
         if not np.isfinite(pi).all():
             raise ValueError(f"denoiser returned non-finite probabilities at iteration {k}")
@@ -172,21 +177,24 @@ def decode(
         picked = select_unmask(conf, masked[rows], dcfg.tau)
         chosen = rows[picked]
         tokens = pi[picked].argmax(axis=1)
-        unmasked = [(int(p), int(t), float(c)) for p, t, c in zip(chosen, tokens, conf[picked])]
+        unmasked = list(zip(chosen.tolist(), tokens.tolist(), conf[picked].tolist()))
         state.tokens[chosen] = tokens
+        masked[chosen] = False
+        n_masked -= len(chosen)
 
         remasked: list[tuple[int, float]] = []
-        if eligible is not None:
+        if eligible.size:
             c_bar = pi[np.searchsorted(rows, eligible), state.tokens[eligible]]
             rates = remask_rates(c_bar, k, dcfg.b0, dcfg.lam)
             remasked = apply_remask(state, eligible, rates, rng, k)
+            if remasked:
+                masked[[p for p, _ in remasked]] = True
+                n_masked += len(remasked)
+                eligible = eligible[~masked[eligible]]
 
-        masked = state.masked()
-        trace.iterations.append(
-            IterationRecord(k=k, unmasked=unmasked, remasked=remasked, masked_after=int(masked.sum()))
-        )
+        trace.iterations.append(IterationRecord(k=k, unmasked=unmasked, remasked=remasked, masked_after=n_masked))
 
     trace.nfe = len(trace.iterations)
-    trace.capped = bool(masked.any())
+    trace.capped = n_masked > 0
     trace.final_tokens = state.tokens
     return trace

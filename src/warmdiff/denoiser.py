@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bigram import BigramModel
-from .core import DiffusionState, EmbeddingTable, _cosine
+from .core import DiffusionState, EmbeddingTable, _cosine, _norm
 
 __all__ = [
     "DenoiseContext",
@@ -139,15 +139,19 @@ def prepare(kind: str, target, params, init: DiffusionState, table: EmbeddingTab
         if table is None:
             raise ValueError("embedding table required when eta > 0 and an override is present")
         # eta * (cos(override, Emb(target)) - cos(mask_vec, Emb(target))) with
-        # the scalar cosine: a vectorized norm sums in another order, and an
-        # ulp at tau moves NFE. A dropped position's override is the mask
-        # vector itself (same values and signs), so its bonus is eta * 0.0.
-        mask_vec, mask_cos, rows = table.mask_vector(), table.mask_cosines, table.rows
-        dropped = ((override == mask_vec) & (np.signbit(override) == np.signbit(mask_vec))).all(axis=1)
+        # the scalar cosine and the table's cached norms: a vectorized norm
+        # or dot sums in another order, and an ulp at tau moves NFE. Rows
+        # are made contiguous, as the table's are, because a strided dot
+        # also sums in another order. A dropped position's override is the
+        # mask vector itself, bit for bit (same values and signs), so its
+        # bonus is eta * 0.0.
+        override = np.ascontiguousarray(override, dtype=np.float64)
+        mask_vec, rows, norms, mask_cos = table.mask_vector(), table.rows, table.row_norms, table.mask_cosines
+        dropped = (override.view(np.int64) == mask_vec.view(np.int64)).all(axis=1)
         bonus = np.array(
             [
-                0.0 if dropped[i] else params.eta * (_cosine(override[i], rows[t]) - mask_cos[t])
-                for i, t in enumerate(ctx.target)
+                0.0 if drop else params.eta * (_cosine(u, rows[t], _norm(u), norms[t]) - mask_cos[t])
+                for u, t, drop in zip(override, ctx.target.tolist(), dropped.tolist())
             ]
         )
     levels = _levels(params.c0, params.gamma, params.c_max, len(ctx.target))
@@ -170,31 +174,36 @@ def noisy_oracle_logits(state: DiffusionState, ctx: DenoiseContext, rows: np.nda
     params: NoisyOracleParams = ctx.params
     if ctx.levels is None:
         raise ValueError("context has no confidence levels; build it with prepare")
-    V = state.vocab.size
-    revealed = ~state.masked()
+    V, mask_id, tokens = state.vocab.size, state.vocab.mask_id, state.tokens
+    if rows is None:
+        rows = np.arange(len(tokens))
 
-    counted = revealed & (state.tokens == ctx.target) if params.mode == "faithful" else revealed
-    conf = np.full(len(state.tokens), ctx.levels[np.count_nonzero(counted)])
-
+    if params.mode == "faithful":
+        # `prepare` keeps target ids below the mask id, so a position that
+        # holds its target token is a correct reveal.
+        r = np.count_nonzero(tokens == ctx.target)
+    else:
+        revealed = tokens != mask_id
+        r = np.count_nonzero(revealed)
+    # One confidence for every row or, with the bonus, a column of them.
+    conf = ctx.levels[r]
     if state.embedding_override is not None and params.eta > 0.0:
         if ctx.bonus is None:
             raise ValueError("context has no embedding bonus; build it with prepare from the overridden state")
-        masked = ~revealed
-        conf[masked] = np.clip(conf[masked] + ctx.bonus[masked], 0.0, params.c_max)
+        boosted = np.clip(conf + ctx.bonus[rows], 0.0, params.c_max)
+        conf = np.where(tokens[rows] == mask_id, boosted, conf)[:, None]
 
-    intended = ctx.target.copy()
+    intended = ctx.target[rows]
     if params.mode == "credulous":
-        wrong = (revealed & (state.tokens != ctx.target)).astype(np.float64)
+        wrong = (revealed & (tokens != ctx.target)).astype(np.float64)
         revealed_in_window = _window_sums(revealed.astype(np.float64), params.window)
         wrong_in_window = _window_sums(wrong, params.window)
-        flip = 2.0 * wrong_in_window > revealed_in_window
-        intended[flip] = (ctx.target[flip] + 1) % V
+        flip = (2.0 * wrong_in_window > revealed_in_window)[rows]
+        intended[flip] = (intended[flip] + 1) % V
 
-    if rows is not None:
-        conf, intended = conf[rows], intended[rows]
-    pi = np.empty((len(conf), V), dtype=np.float64)
-    pi[:] = ((1.0 - conf) / (V - 1))[:, None]
-    pi[np.arange(len(conf)), intended] = conf
+    pi = np.empty((len(rows), V), dtype=np.float64)
+    pi[:] = (1.0 - conf) / (V - 1)
+    pi[np.arange(len(rows))[:, None], intended[:, None]] = conf
     return pi
 
 
@@ -210,7 +219,7 @@ def markov_logits(state: DiffusionState, ctx: DenoiseContext, rows: np.ndarray |
     """
     model: BigramModel = ctx.params
     n = len(state.tokens)
-    revealed = ~state.masked()
+    revealed = state.tokens != state.vocab.mask_id
     pos = np.arange(n)
     # Nearest revealed position strictly left and right of each position; -1
     # and n stand for none and both index the appended mask id, whose table
@@ -222,4 +231,4 @@ def markov_logits(state: DiffusionState, ctx: DenoiseContext, rows: np.ndarray |
     after = tokens[np.concatenate((right[1:], [n]))]
     if rows is not None:
         before, after = before[rows], after[rows]
-    return 0.5 * model.next_table[before] + 0.5 * model.prev_table[after]
+    return model.half_next_table[before] + model.half_prev_table[after]

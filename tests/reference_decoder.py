@@ -43,3 +43,16 @@ def reference_decode(denoiser_fn, ctx, init_tokens, vocab, tau, k_max=10_000):
             tokens[pos] = tok
         records.append({"k": k, "unmasked": unmask})
     return tokens, records
+
+
+def reference_select_unmask(conf, masked, tau):
+    """The two-pass selection rule: every masked position with conf > tau,
+    else the most confident masked one by np.where + argmax (lowest index on
+    ties); ValueError when nothing is masked."""
+    if not masked.any():
+        raise ValueError("select_unmask requires at least one masked position")
+    hits = np.flatnonzero(masked & (conf > tau))
+    if hits.size:
+        return hits
+    forced = np.where(masked, conf, -np.inf)
+    return np.array([int(np.argmax(forced))], dtype=np.int64)

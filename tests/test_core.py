@@ -56,6 +56,25 @@ class TestDiffusionState:
         with pytest.raises(ValueError):
             DiffusionState(vocab=Vocabulary(3), tokens=np.array([3, 1]), injected={0})
 
+    @pytest.mark.parametrize(
+        "injected",
+        [{np.int64(2)}, {np.int32(-1)}, {-1}, {2}, {0, 7}, {2**70}, {-(2**70)}],
+        ids=["numpy-int-n", "numpy-int-negative", "negative", "n", "one-of-two", "beyond-int64", "below-int64"],
+    )
+    def test_rejects_injected_positions_outside_the_sequence(self, injected):
+        with pytest.raises(ValueError, match="out of range"):
+            DiffusionState(vocab=Vocabulary(3), tokens=np.array([0, 1]), injected=injected)
+
+    @pytest.mark.parametrize("injected", [{0}, {np.int64(0)}, {1, 0}], ids=["int", "numpy-int", "one-of-two"])
+    def test_rejects_injected_position_holding_the_mask(self, injected):
+        with pytest.raises(ValueError, match="holds a mask token"):
+            DiffusionState(vocab=Vocabulary(3), tokens=np.array([3, 1]), injected=injected)
+
+    @pytest.mark.parametrize("injected", [set(), {np.int64(1)}, {0, 1}])
+    def test_accepts_injected_positions_holding_tokens(self, injected):
+        state = DiffusionState(vocab=Vocabulary(3), tokens=np.array([0, 1]), injected=injected)
+        assert state.injected == injected
+
     def test_rejects_override_length_mismatch(self):
         with pytest.raises(ValueError):
             DiffusionState(

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from reference_decoder import reference_decode
+from reference_decoder import reference_decode, reference_select_unmask
 from warmdiff.core import DeterministicRng, Vocabulary, all_mask_init
 from warmdiff.decoder import (
     DecodeConfig,
@@ -51,6 +53,31 @@ class TestSelectUnmask:
     def test_no_masked_positions_rejected(self):
         with pytest.raises(ValueError):
             select_unmask(np.array([0.5]), np.array([False]), 0.5)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.data())
+    def test_matches_the_two_pass_rule(self, data):
+        """Few distinct values, tau among them, so ties and conf == tau are
+        common; masks with no, one, some or every position masked."""
+        n = data.draw(st.integers(1, 12))
+        tau = data.draw(st.sampled_from([0.5, 0.9, 1.0]))
+        values = st.sampled_from([0.0, 0.3, 0.5, 0.9, 0.95, 1.0]) | st.floats(0.0, 1.0)
+        conf = np.array(data.draw(st.lists(values, min_size=n, max_size=n)))
+        kind = data.draw(st.sampled_from(["none", "one", "all", "any"]))
+        if kind == "any":
+            masked = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        else:
+            masked = np.full(n, kind == "all")
+            if kind == "one":
+                masked[data.draw(st.integers(0, n - 1))] = True
+        if not masked.any():
+            for select in (select_unmask, reference_select_unmask):
+                with pytest.raises(ValueError):
+                    select(conf, masked, tau)
+            return
+        got, want = select_unmask(conf, masked, tau), reference_select_unmask(conf, masked, tau)
+        assert got.dtype == want.dtype == np.int64
+        assert got.tolist() == want.tolist()
 
 
 class TestRemaskRates:

@@ -165,23 +165,33 @@ def reference_bonus(override, target, eta, table):
 @given(problems(), st.floats(0.0, 3.0, exclude_min=True), st.floats(0.0, 1.0), st.data())
 def test_bonus_matches_per_position_loop(problem, eta, rho, data):
     """Overrides as interpolation leaves them (dropped rows are copies of the
-    mask vector) and as drawn by `problems`; the table's mask cosines are
-    computed once and reused by a second run."""
+    mask vector) and as drawn by `problems`; one with an all-zero row and a
+    dropped row, also with strided (Fortran-order) rows, whose bonus is that
+    of the contiguous copy; tables with and without an all-zero row at a
+    target token. The table's norms and mask cosines are computed once and
+    reused by later runs."""
     state, target, table = problem
     n = len(target)
     proposal = np.array(data.draw(st.lists(st.integers(0, table.num_tokens - 1), min_size=n, max_size=n)))
     alpha = data.draw(st.sampled_from([0.0, 1.0, data.draw(st.floats(0.0, 1.0))]))
     rng = DeterministicRng(data.draw(st.integers(0, 2**32)))
     interpolated = interpolate_embeddings(proposal, table, alpha, rho, rng)
+    edges = interpolated.copy()
+    edges[0] = 0.0
+    edges[-1] = table.mask_vector()
+    zero_row = table.rows.copy()
+    zero_row[target[-1]] = 0.0
     params = NoisyOracleParams(eta=eta)
-    for override in (interpolated, state.embedding_override):
-        if override is None:
-            continue
-        init = all_mask_init(state.vocab, len(target))
-        init.embedding_override = override
-        _, ctx = prepare("noisy-oracle", target, params, init, table)
-        assert ctx.bonus.tobytes() == reference_bonus(override, target, eta, table).tobytes()
-    assert table.mask_cosines is table.mask_cosines
+    for tbl in (table, EmbeddingTable(rows=zero_row)):
+        for override in (interpolated, state.embedding_override, edges, np.asfortranarray(edges)):
+            if override is None:
+                continue
+            init = all_mask_init(state.vocab, len(target))
+            init.embedding_override = override
+            _, ctx = prepare("noisy-oracle", target, params, init, tbl)
+            expected = reference_bonus(np.ascontiguousarray(override), target, eta, tbl)
+            assert ctx.bonus.tobytes() == expected.tobytes()
+        assert tbl.row_norms is tbl.row_norms and tbl.mask_cosines is tbl.mask_cosines
 
 
 @settings(max_examples=100, deadline=None)

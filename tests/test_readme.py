@@ -118,6 +118,18 @@ def test_quick_start_experiment_builds():
     assert (cfg.n, cfg.num_runs, cfg.warmstart.method) == (32, 200, "token-injection")
 
 
+def test_quick_start_text_gives_the_printed_numbers():
+    """The paragraph after the quick-start commands quotes what `run` prints
+    for experiment.txt, and for the same config without a warm start."""
+    text = " ".join(section("Quick start").split())
+    overrides = parse_config_text(quick_start_file("experiment.txt"))
+    warm, _ = run_experiment(build_config(overrides))
+    cold, _ = run_experiment(build_config({**overrides, "warmstart.method": "none"}))
+    assert f"prints `mean_nfe = {warm.mean_nfe}` and `exact_match_rate = {warm.exact_match_rate}`" in text
+    assert f"take `mean_nfe = {cold.mean_nfe}` and all of them match" in text
+    assert cold.exact_match_rate == 1.0 and warm.mean_nfe < cold.mean_nfe
+
+
 def test_ci_runs_the_quick_start_experiment():
     """The workflow's console-script step writes the README's experiment.txt."""
     workflow = (Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
