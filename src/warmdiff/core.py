@@ -8,9 +8,8 @@ shared numeric primitives (softmax, all-mask init).
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from hashlib import blake2b
 
 import numpy as np
@@ -20,6 +19,7 @@ __all__ = [
     "DiffusionState",
     "EmbeddingTable",
     "DeterministicRng",
+    "run_key",
     "all_mask_init",
     "softmax",
 ]
@@ -139,8 +139,40 @@ class EmbeddingTable:
         is a pure function of the rng seed."""
         if dim < 1:
             raise ValueError("embedding dimension must be positive")
-        row_ids = range(vocab.size + 1)
+        row_ids = np.arange(vocab.size + 1)
         return cls(rows=2.0 * np.column_stack([rng.draws("embed-table", row_ids, c) for c in range(dim)]) - 1.0)
+
+
+# SplitMix64 (Steele, Lea & Flood 2014): a counter stepped by the odd
+# constant _GAMMA and a finalizer that is a bijection of 64-bit words.
+_M64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MUL1 = 0xBF58476D1CE4E5B9
+_MUL2 = 0x94D049BB133111EB
+# The same constants as numpy scalars, so the array path never depends on how
+# a numpy version promotes a Python int against a uint64 array.
+_U_GAMMA, _U_MUL1, _U_MUL2 = np.uint64(_GAMMA), np.uint64(_MUL1), np.uint64(_MUL2)
+_U11, _U27, _U30, _U31 = np.uint64(11), np.uint64(27), np.uint64(30), np.uint64(31)
+
+
+def _mix64(z: int) -> int:
+    """SplitMix64's finalizer on a Python int in [0, 2^64)."""
+    z = ((z ^ (z >> 30)) * _MUL1) & _M64
+    z = ((z ^ (z >> 27)) * _MUL2) & _M64
+    return z ^ (z >> 31)
+
+
+@lru_cache(maxsize=256)
+def _purpose_key(purpose: str) -> int:
+    """64-bit key of a purpose label: the first 8 bytes of its blake2b hash."""
+    return int.from_bytes(blake2b(purpose.encode("utf-8"), digest_size=8).digest(), "little")
+
+
+def run_key(seed: int, run: int) -> int:
+    """The rng seed of run `run` under base seed `seed`: output `run` of a
+    SplitMix64 stream started at the hashed seed, so distinct base seeds
+    replicate on unrelated streams."""
+    return _mix64((_mix64(seed & _M64) + (run + 1) * _GAMMA) & _M64)
 
 
 class DeterministicRng:
@@ -150,22 +182,31 @@ class DeterministicRng:
     enabling or disabling one consumer can never shift the values any other
     consumer sees, and runs replay bit-identically across processes and
     platforms. Distinct purpose labels give independent streams.
+
+    The value at an address is the SplitMix64 finalizer of
+    `position·GAMMA + base` (mod 2^64), scaled by its top 53 bits to [0, 1);
+    `base` hashes the seed, the purpose's key and the iteration.
     """
 
     def __init__(self, seed: int):
         self.seed = int(seed)
-        # Keyed once; each draw hashes its message on a copy of this state.
-        self._keyed = blake2b(digest_size=8, key=struct.pack("<Q", self.seed & 0xFFFFFFFFFFFFFFFF))
+        self._key = _mix64(self.seed & _M64)
 
     def draw(self, purpose: str, position: int, iteration: int) -> float:
-        h = self._keyed.copy()
-        h.update(purpose.encode("utf-8") + struct.pack("<qq", position, iteration))
-        return int.from_bytes(h.digest(), "little") / 2.0**64
+        """`draws` at one position."""
+        return float(self.draws(purpose, (position,), iteration)[0])
 
     def draws(self, purpose: str, positions, iteration: int) -> np.ndarray:
-        """`draw(purpose, p, iteration)` for each p of `positions` (ints), as
-        one float64 array: the one path from an address set to its values."""
-        return np.array([self.draw(purpose, p, iteration) for p in positions], dtype=np.float64)
+        """The draw of (purpose, p, iteration) for each p of `positions`, a
+        1-d int sequence, as one float64 array: the one path from an address
+        set to its values."""
+        base = _mix64(self._key ^ _purpose_key(purpose))
+        base = _mix64((base + (int(iteration) & _M64) * _GAMMA) & _M64)
+        # uint64 arrays wrap silently, as the hash wants.
+        z = np.asarray(positions, dtype=np.int64).view(np.uint64) * _U_GAMMA + np.uint64(base)
+        z = (z ^ (z >> _U30)) * _U_MUL1
+        z = (z ^ (z >> _U27)) * _U_MUL2
+        return ((z ^ (z >> _U31)) >> _U11) * 2.0**-53
 
 
 def all_mask_init(vocab: Vocabulary, n: int) -> DiffusionState:

@@ -111,7 +111,7 @@ def apply_remask(
     """Independently remask each eligible position with its rate (draws
     addressed by "remask", position, k). A remasked position leaves the
     injected set permanently."""
-    hit = rng.draws("remask", positions.tolist(), k) < rates
+    hit = rng.draws("remask", positions, k) < rates
     remasked = positions[hit].tolist()
     state.tokens[remasked] = state.vocab.mask_id
     state.injected.difference_update(remasked)

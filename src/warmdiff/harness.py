@@ -18,7 +18,7 @@ from operator import attrgetter
 import numpy as np
 
 from .bigram import BigramModel, load_corpus
-from .core import DeterministicRng, DiffusionState, EmbeddingTable, Vocabulary, all_mask_init
+from .core import DeterministicRng, DiffusionState, EmbeddingTable, Vocabulary, all_mask_init, run_key
 from .decoder import DecodeConfig, DecodeTrace, decode
 from .denoiser import NoisyOracleParams, prepare
 from .proposal import propose_corrupted, propose_markov
@@ -325,7 +325,7 @@ def build_resources(cfg: ExperimentConfig) -> RunResources:
 
 def _make_target(cfg: ExperimentConfig, resources: RunResources, rng: DeterministicRng) -> np.ndarray:
     if cfg.target_source == "uniform":
-        return (rng.draws("target", range(cfg.n), 0) * cfg.vocab_size).astype(np.int64)
+        return (rng.draws("target", np.arange(cfg.n), 0) * cfg.vocab_size).astype(np.int64)
     eligible = [s for s in resources.corpus if len(s) >= cfg.n]
     seq = eligible[int(rng.draw("target-seq", 0, 0) * len(eligible))]
     start = int(rng.draw("target-off", 0, 0) * (len(seq) - cfg.n + 1))
@@ -410,15 +410,16 @@ def _record_for(cfg: ExperimentConfig, grid_id: int) -> MetricsRecord:
 def run_one(
     cfg: ExperimentConfig, run_index: int, resources: RunResources | None = None
 ) -> tuple[RunResult, DecodeTrace, DiffusionState]:
-    """One fully deterministic run: seed = base seed XOR run index.
+    """One fully deterministic run, drawing from the seed `run_key(cfg.seed,
+    run_index)`, which the result records: `DeterministicRng(result.seed)`
+    replays the run's draws.
 
     Returns the per-run metrics, the decode trace, and the initial state
     (the latter so callers can audit injected-position bookkeeping).
     """
     if resources is None:
         resources = build_resources(cfg)
-    run_seed = cfg.seed ^ run_index
-    rng = DeterministicRng(run_seed)
+    rng = DeterministicRng(run_key(cfg.seed, run_index))
     vocab = Vocabulary(cfg.vocab_size)
     target = _make_target(cfg, resources, rng)
 
@@ -436,7 +437,7 @@ def run_one(
     trace = decode(denoiser, ctx, init, cfg.decode, cfg.warmstart, rng)
     result = RunResult(
         run=run_index,
-        seed=run_seed,
+        seed=rng.seed,
         nfe=trace.nfe,
         exact_match=exact_match(trace.final_tokens, target),
         token_acc=token_accuracy(trace.final_tokens, target),

@@ -33,8 +33,8 @@ def propose_corrupted(
     target = np.asarray(target, dtype=np.int64)
     if ((target < 0) | (target >= vocab.size)).any():
         raise ValueError("target tokens must lie in [0, V)")
-    hit = np.flatnonzero(rng.draws("proposal-corrupt", range(target.size), 0) < epsilon)
-    picks = (rng.draws("proposal-corrupt-choice", hit.tolist(), 0) * (vocab.size - 1)).astype(np.int64)
+    hit = np.flatnonzero(rng.draws("proposal-corrupt", np.arange(target.size), 0) < epsilon)
+    picks = (rng.draws("proposal-corrupt-choice", hit, 0) * (vocab.size - 1)).astype(np.int64)
     tokens = target.copy()
     tokens[hit] = picks + (picks >= target[hit])  # uniform over the V-1 tokens != target
     return tokens
@@ -47,7 +47,7 @@ def propose_markov(model: BigramModel, n: int, rng: DeterministicRng) -> np.ndar
     tokens = np.empty(n, dtype=np.int64)
     last = model.num_tokens - 1
     prev = model.num_tokens  # the unigram row of next_cdf
-    for i, u in enumerate(rng.draws("proposal-markov", range(n), 0).tolist()):
+    for i, u in enumerate(rng.draws("proposal-markov", np.arange(n), 0).tolist()):
         # Inverse CDF: the index whose cumulative bucket contains u.
         cdf = model.next_cdf[prev]
         tokens[i] = prev = min(bisect_right(cdf, u * cdf[-1]), last)

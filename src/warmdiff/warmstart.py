@@ -54,7 +54,7 @@ def inject_tokens(vocab, proposal: np.ndarray, rho: float, rng: DeterministicRng
     "inject-gate" at iteration 0), otherwise leave it masked."""
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must be in [0, 1]")
-    gate = rng.draws("inject-gate", range(len(proposal)), 0) < rho
+    gate = rng.draws("inject-gate", np.arange(len(proposal)), 0) < rho
     tokens = np.where(gate, proposal, vocab.mask_id)
     return DiffusionState(vocab=vocab, tokens=tokens, injected=set(np.flatnonzero(gate).tolist()))
 
@@ -71,7 +71,7 @@ def interpolate_embeddings(
         raise ValueError("rho must be in [0, 1]")
     if ((proposal < 0) | (proposal >= table.num_tokens)).any():
         raise ValueError("proposal tokens outside the embedding table")
-    keep = rng.draws("embed-drop", range(len(proposal)), 0) < rho
+    keep = rng.draws("embed-drop", np.arange(len(proposal)), 0) < rho
     mask_vec = table.mask_vector()
     out = np.tile(mask_vec, (len(proposal), 1))
     out[keep] = (1.0 - alpha) * mask_vec + alpha * table.rows[proposal[keep]]

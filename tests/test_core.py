@@ -4,13 +4,17 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from reference_rng import record_draws, reference_draw, reference_run_key
 from warmdiff.core import (
     DeterministicRng,
     DiffusionState,
     EmbeddingTable,
     Vocabulary,
     all_mask_init,
+    run_key,
     softmax,
 )
 
@@ -162,14 +166,78 @@ class TestDeterministicRng:
         ys = [rng.draw("two", i, 0) for i in range(50)]
         assert xs != ys
 
-    def test_draw_is_keyed_blake2b_of_its_address(self):
-        for seed in (0, 7, -17, 2**64 + 5):
-            rng = DeterministicRng(seed)
-            key = (seed & (2**64 - 1)).to_bytes(8, "little")
-            for purpose, pos, it in [("remask", 0, 1), ("embed-table", 64, 255), ("x", -3, 2**40)]:
-                msg = purpose.encode() + pos.to_bytes(8, "little", signed=True) + it.to_bytes(8, "little", signed=True)
-                digest = hashlib.blake2b(msg, digest_size=8, key=key).digest()
-                assert rng.draw(purpose, pos, it) == int.from_bytes(digest, "little") / 2.0**64
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(-(2**70), 2**70),
+        purpose=st.text(max_size=12),
+        positions=st.lists(st.integers(-(2**63), 2**63 - 1), max_size=8),
+        iteration=st.integers(-(2**65), 2**65),
+    )
+    def test_draws_match_the_pure_int_reference(self, seed, purpose, positions, iteration):
+        out = DeterministicRng(seed).draws(purpose, positions, iteration)
+        assert out.tolist() == [reference_draw(seed, purpose, p, iteration) for p in positions]
+
+    def test_known_answer_vectors(self):
+        """53-bit integers 2^53 * draw, pinned so the stream cannot drift
+        across platforms or numpy versions."""
+        vectors = [
+            ((0, "remask", 0, 1), 7762385522718467),
+            ((7, "embed-table", 64, 255), 459407071761851),
+            ((-17, "x", -3, 2**40), 7762383147265870),
+            ((2**64 + 5, "target", 2**63 - 1, 0), 2339059534865420),
+            ((-(2**63), "proposal-markov", -(2**63), 2**64 - 1), 1494637658812751),
+            ((1416513948204736249, "inject-gate", 31, 0), 3331491991638493),
+        ]
+        for (seed, purpose, pos, it), value in vectors:
+            assert DeterministicRng(seed).draws(purpose, [pos], it)[0] * 2**53 == value
+            assert reference_draw(seed, purpose, pos, it) * 2**53 == value
+        assert run_key(7, 199) == reference_run_key(7, 199) == 1416513948204736249
+        assert run_key(0, 0) == reference_run_key(0, 0) == 0xE220A8397B1DCDAF
+
+    def test_uniform_by_kolmogorov_smirnov(self):
+        """10^6 draws of one stream against U[0, 1): sqrt(n) * D stays below
+        1.95, the Kolmogorov distribution's 0.999 quantile."""
+        n = 10**6
+        u = np.sort(DeterministicRng(2024).draws("ks", np.arange(n), 0))
+        d = max((np.arange(1, n + 1) / n - u).max(), (u - np.arange(n) / n).max())
+        assert np.sqrt(n) * d < 1.95
+
+    def test_streams_of_distinct_purposes_iterations_and_seeds_are_disjoint(self):
+        seeds = [*range(8), -1, 2**63, *(run_key(s, r) for s in range(8) for r in range(4))]
+        purposes = ["target", "target-seq", "target-off", "proposal-corrupt", "proposal-corrupt-choice",
+                    "proposal-markov", "inject-gate", "embed-drop", "remask", "embed-table"]
+        values = np.concatenate([
+            DeterministicRng(seed).draws(purpose, np.arange(64), it)
+            for seed in seeds for purpose in purposes for it in range(3)
+        ])
+        assert values.size == len(seeds) * len(purposes) * 3 * 64
+        assert np.unique(values).size == values.size
+
+    def test_draws_takes_any_int_sequence(self):
+        rng = DeterministicRng(3)
+        expected = rng.draws("p", [0, 1, 2, 5], 2).tolist()
+        for positions in ((0, 1, 2, 5), np.array([0, 1, 2, 5], dtype=np.int32), np.array([0, 9, 1, 9, 2, 9, 5])[::2]):
+            out = rng.draws("p", positions, 2)
+            assert out.dtype == np.float64 and out.tolist() == expected
+        assert rng.draws("p", range(3), 0).tolist() == rng.draws("p", [0, 1, 2], 0).tolist()
+        assert rng.draws("p", np.empty(0, dtype=np.int64), 0).shape == (0,)
+
+    def test_no_overflow_warning(self):
+        """uint64 arithmetic wraps by design; a run under
+        `-W error::RuntimeWarning` must not turn it into an error."""
+        script = (
+            "import numpy as np\n"
+            "from warmdiff.core import DeterministicRng\n"
+            "from warmdiff.harness import build_config, run_experiment\n"
+            "rng = DeterministicRng(-1)\n"
+            "for positions in ([2**63 - 1], [-(2**63)], np.arange(-5, 5), []):\n"
+            "    rng.draws('p', positions, 2**64 - 1)\n"
+            "    rng.draw('p', -1, -1)\n"
+            "run_experiment(build_config({'n': 8, 'num_runs': 3, 'warmstart.method': 'token-injection',\n"
+            "                             'decode.remask_enabled': True, 'seed': -(2**63)}))\n"
+        )
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_draws_is_draw_at_each_address(self, monkeypatch):
         rng = DeterministicRng(5)
@@ -178,10 +246,9 @@ class TestDeterministicRng:
         assert out.dtype == np.float64
         assert out.tolist() == [rng.draw("p", p, 4) for p in positions]
         assert rng.draws("p", [], 0).shape == (0,)
-        calls = []
-        draw = DeterministicRng.draw
-        monkeypatch.setattr(DeterministicRng, "draw", lambda self, *a: calls.append(a) or draw(self, *a))
-        rng.draws("q", range(3), 1)
+        calls = record_draws(monkeypatch)
+        for p in range(3):
+            rng.draw("q", p, 1)
         assert calls == [("q", 0, 1), ("q", 1, 1), ("q", 2, 1)]
 
     def test_negative_seed_accepted(self):

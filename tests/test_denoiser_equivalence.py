@@ -272,8 +272,8 @@ class ScriptedRng(DeterministicRng):
         super().__init__(0)
         self.uniforms = iter(uniforms)
 
-    def draw(self, purpose, position, iteration):
-        return next(self.uniforms)
+    def draws(self, purpose, positions, iteration):
+        return np.array([next(self.uniforms) for _ in positions], dtype=np.float64)
 
 
 @settings(max_examples=200, deadline=None)

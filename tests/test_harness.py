@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from reference_rng import reference_run_key
 from warmdiff import harness
+from warmdiff.core import DeterministicRng
 from warmdiff.harness import (
     CSV_COLUMNS,
     ConfigError,
@@ -202,10 +204,36 @@ class TestRunOne:
         header = {"h": 1}
         assert trace_lines(a_trace, header) == trace_lines(b_trace, header)
 
-    def test_run_seed_is_base_xor_index(self):
+    def test_run_seed_is_the_hashed_run_key(self):
         cfg = build_config({"seed": 12})
         result, _, _ = run_one(cfg, 5)
-        assert result.seed == 12 ^ 5
+        assert result.seed == reference_run_key(12, 5)
+
+    def test_base_seeds_share_no_run_seed(self):
+        """Under `seed XOR run`, seeds 0..7 replayed the same 200 runs."""
+        seeds = {r.seed for s in range(8) for r in run_experiment(build_config({"n": 1, "num_runs": 200, "seed": s}))[0].runs}
+        assert len(seeds) == 8 * 200
+
+    def test_recorded_seed_replays_the_runs_draws(self, monkeypatch):
+        cfg = build_config({"n": 12, "seed": 3, "warmstart.method": "token-injection", "proposer.epsilon": 0.3,
+                            "decode.remask_enabled": True, "decode.b0": 0.01, "decode.lambda": 0.002})
+        resources = build_resources(cfg)  # its embedding table is drawn from the base seed
+        calls = []
+        draws = DeterministicRng.draws
+
+        def recording_draws(self, purpose, positions, iteration):
+            out = draws(self, purpose, positions, iteration)
+            calls.append((self.seed, purpose, np.array(positions), iteration, out))
+            return out
+
+        monkeypatch.setattr(DeterministicRng, "draws", recording_draws)
+        result, _, _ = run_one(cfg, 9, resources)
+        monkeypatch.undo()
+        assert {seed for seed, *_ in calls} == {result.seed}
+        assert {purpose for _, purpose, *_ in calls} >= {"target", "proposal-corrupt", "inject-gate", "remask"}
+        replay = DeterministicRng(result.seed)
+        for _, purpose, positions, iteration, out in calls:
+            assert replay.draws(purpose, positions, iteration).tobytes() == out.tobytes()
 
     def test_full_injection_with_clean_proposal_is_free(self):
         cfg = build_config({

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from reference_rng import record_draws
 from warmdiff.bigram import BigramModel
 from warmdiff.core import DeterministicRng, Vocabulary
 from warmdiff.proposal import propose_corrupted, propose_markov
@@ -45,9 +46,7 @@ class TestCorruptedOracle:
         assert corrupted_lo <= corrupted_hi
 
     def test_replacement_drawn_only_at_corrupted_positions(self, monkeypatch):
-        seen = []
-        draw = DeterministicRng.draw
-        monkeypatch.setattr(DeterministicRng, "draw", lambda self, *a: seen.append(a) or draw(self, *a))
+        seen = record_draws(monkeypatch)
         target = np.arange(200) % 6
         prop = propose_corrupted(Vocabulary(6), target, 0.3, DeterministicRng(5))
         assert sorted(p for purpose, p, _ in seen if purpose == "proposal-corrupt") == list(range(200))

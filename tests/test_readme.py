@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from warmdiff.core import DeterministicRng
+from reference_rng import record_draws
 from warmdiff.harness import SCHEMA, SWEEP_ORDER, build_config, expand_grid, parse_config_text, run_experiment
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -77,14 +77,7 @@ def rng_table():
 
 
 def test_rng_table_names_every_purpose_with_its_address(tmp_path, monkeypatch):
-    seen = []
-    draw = DeterministicRng.draw
-
-    def recording_draw(self, purpose, position, iteration):
-        seen.append((purpose, position, iteration))
-        return draw(self, purpose, position, iteration)
-
-    monkeypatch.setattr(DeterministicRng, "draw", recording_draw)
+    seen = record_draws(monkeypatch)
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("0 1 2 3 0 1 2\n3 2 1 0 3 2\n", encoding="utf-8")
     n, V, d = 6, 4, 3
