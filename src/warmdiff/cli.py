@@ -1,12 +1,13 @@
 """Command-line interface: run, sweep, validate.
 
-Exit codes: 0 success, 1 config error or an output file that cannot be
-written, 2 runtime invariant violation.
+Exit codes: 0 success, 1 config error, an output file that cannot be
+written or a standard output closed early, 2 runtime invariant violation.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .harness import (
@@ -104,7 +105,15 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader went away (as `| head` does): send what is still
+        # buffered to devnull, so the flush at exit stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output was closed", file=sys.stderr)
+        return 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -12,7 +12,9 @@ remasked at most once.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -70,10 +72,43 @@ class IterationRecord:
 
 @dataclass
 class DecodeTrace:
-    iterations: list[IterationRecord] = field(default_factory=list)
-    final_tokens: np.ndarray | None = None
-    nfe: int = 0
-    capped: bool = False
+    """One decode as columns. Iteration k = 1..nfe unmasked the next
+    unmask_counts[k-1] entries of unmask_pos/unmask_tok/unmask_conf (positions
+    ascending), remasked the next remask_counts[k-1] entries of
+    remask_pos/remask_rate, and left masked_after[k-1] positions masked."""
+
+    unmask_counts: np.ndarray
+    unmask_pos: np.ndarray
+    unmask_tok: np.ndarray
+    unmask_conf: np.ndarray
+    remask_counts: np.ndarray
+    remask_pos: np.ndarray
+    remask_rate: np.ndarray
+    masked_after: np.ndarray
+    final_tokens: np.ndarray
+    nfe: int
+    capped: bool
+
+    def by_iteration(self, unmasked: Iterable, remasked: Iterable) -> Iterator:
+        """(k, its unmask entries, its remask entries, masked_after) for
+        k = 1..nfe, cutting per-entry sequences in column order by the
+        counts. Each iteration's entries must be read before the next."""
+        unmasked, remasked = iter(unmasked), iter(remasked)
+        per_iteration = zip(self.unmask_counts.tolist(), self.remask_counts.tolist(), self.masked_after.tolist())
+        for k, (nu, nr, after) in enumerate(per_iteration, start=1):
+            yield k, islice(unmasked, nu), islice(remasked, nr), after
+
+    @property
+    def iterations(self) -> list[IterationRecord]:
+        """The columns rebuilt as one record per iteration: a read-only view
+        that `bench/measure.py` counts from, outside its timed region."""
+        unmasked = zip(self.unmask_pos.tolist(), self.unmask_tok.tolist(), self.unmask_conf.tolist())
+        remasked = zip(self.remask_pos.tolist(), self.remask_rate.tolist())
+        return [IterationRecord(k, list(u), list(r), after) for k, u, r, after in self.by_iteration(unmasked, remasked)]
+
+
+def _cat(parts: list[np.ndarray], dtype) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.empty(0, dtype)
 
 
 def confidences(pi: np.ndarray) -> np.ndarray:
@@ -107,15 +142,15 @@ def apply_remask(
     rates: np.ndarray,
     rng: DeterministicRng,
     k: int,
-) -> list[tuple[int, float]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Independently remask each eligible position with its rate (draws
-    addressed by "remask", position, k). A remasked position leaves the
-    injected set permanently."""
+    addressed by "remask", position, k); returns the remasked positions and
+    their rates. A remasked position leaves the injected set permanently."""
     hit = rng.draws("remask", positions, k) < rates
-    remasked = positions[hit].tolist()
+    remasked = positions[hit]
     state.tokens[remasked] = state.vocab.mask_id
-    state.injected.difference_update(remasked)
-    return list(zip(remasked, rates[hit].tolist()))
+    state.injected.difference_update(remasked.tolist())
+    return remasked, rates[hit]
 
 
 def decode(
@@ -149,7 +184,9 @@ def decode(
             stacklevel=2,
         )
 
-    trace = DecodeTrace()
+    # Per-iteration pieces of the trace columns, concatenated once at the end.
+    unmask_counts, unmask_pos, unmask_tok, unmask_conf = [], [], [], []
+    remask_counts, remask_pos, remask_rate, masked_after = [], [], [], []
     k = 0
     # Carried across iterations and updated only where one unmasks or
     # remasks: the masked positions, their count, and (when remasking) the
@@ -177,24 +214,39 @@ def decode(
         picked = select_unmask(conf, masked[rows], dcfg.tau)
         chosen = rows[picked]
         tokens = pi[picked].argmax(axis=1)
-        unmasked = list(zip(chosen.tolist(), tokens.tolist(), conf[picked].tolist()))
+        unmask_counts.append(len(chosen))
+        unmask_pos.append(chosen)
+        unmask_tok.append(tokens)
+        unmask_conf.append(conf[picked])
         state.tokens[chosen] = tokens
         masked[chosen] = False
         n_masked -= len(chosen)
 
-        remasked: list[tuple[int, float]] = []
+        n_remasked = 0
         if eligible.size:
             c_bar = pi[np.searchsorted(rows, eligible), state.tokens[eligible]]
             rates = remask_rates(c_bar, k, dcfg.b0, dcfg.lam)
-            remasked = apply_remask(state, eligible, rates, rng, k)
-            if remasked:
-                masked[[p for p, _ in remasked]] = True
-                n_masked += len(remasked)
+            positions, hit_rates = apply_remask(state, eligible, rates, rng, k)
+            n_remasked = len(positions)
+            if n_remasked:
+                remask_pos.append(positions)
+                remask_rate.append(hit_rates)
+                masked[positions] = True
+                n_masked += n_remasked
                 eligible = eligible[~masked[eligible]]
+        remask_counts.append(n_remasked)
+        masked_after.append(n_masked)
 
-        trace.iterations.append(IterationRecord(k=k, unmasked=unmasked, remasked=remasked, masked_after=n_masked))
-
-    trace.nfe = len(trace.iterations)
-    trace.capped = n_masked > 0
-    trace.final_tokens = state.tokens
-    return trace
+    return DecodeTrace(
+        unmask_counts=np.array(unmask_counts, dtype=np.int64),
+        unmask_pos=_cat(unmask_pos, np.int64),
+        unmask_tok=_cat(unmask_tok, np.int64),
+        unmask_conf=_cat(unmask_conf, np.float64),
+        remask_counts=np.array(remask_counts, dtype=np.int64),
+        remask_pos=_cat(remask_pos, np.int64),
+        remask_rate=_cat(remask_rate, np.float64),
+        masked_after=np.array(masked_after, dtype=np.int64),
+        final_tokens=state.tokens,
+        nfe=k,
+        capped=n_masked > 0,
+    )

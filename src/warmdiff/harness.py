@@ -533,55 +533,73 @@ def csv_lines(records: list[MetricsRecord]) -> list[str]:
 
 def trace_lines(trace: DecodeTrace, header: dict) -> list[str]:
     """JSON-lines trace: a header object, one object per iteration, and a
-    final summary object."""
-    lines = [json.dumps(header)]
-    for rec in trace.iterations:
-        lines.append(
-            json.dumps(
-                {
-                    "k": rec.k,
-                    "unmasked": [{"pos": p, "tok": t, "conf": c} for p, t, c in rec.unmasked],
-                    "remasked": [{"pos": p, "rate": r} for p, r in rec.remasked],
-                    "masked_after": rec.masked_after,
-                }
-            )
-        )
-    lines.append(
-        json.dumps(
-            {
-                "final_tokens": [int(t) for t in trace.final_tokens],
-                "nfe": trace.nfe,
-                "capped": trace.capped,
-            }
-        )
+    final summary object. Entries are written as json.dumps writes them:
+    ints as str, floats as repr, ", " and ": " separators."""
+    unmasked = (
+        f'{{"pos": {p}, "tok": {t}, "conf": {c!r}}}'
+        for p, t, c in zip(trace.unmask_pos.tolist(), trace.unmask_tok.tolist(), trace.unmask_conf.tolist())
     )
+    remasked = (f'{{"pos": {p}, "rate": {r!r}}}' for p, r in zip(trace.remask_pos.tolist(), trace.remask_rate.tolist()))
+    lines = [json.dumps(header)]
+    for k, unmasks, remasks, after in trace.by_iteration(unmasked, remasked):
+        lines.append(
+            f'{{"k": {k}, "unmasked": [{", ".join(unmasks)}], '
+            f'"remasked": [{", ".join(remasks)}], "masked_after": {after}}}'
+        )
+    final = ", ".join(map(str, trace.final_tokens.tolist()))
+    capped = "true" if trace.capped else "false"
+    lines.append(f'{{"final_tokens": [{final}], "nfe": {trace.nfe}, "capped": {capped}}}')
     return lines
 
 
 # ---------------------------------------------------------------------------
 # Invariant checking (used by the `validate` subcommand and the test suite)
 
+def _column_problems(trace: DecodeTrace) -> list[str]:
+    """Negative counts, and columns whose lengths disagree with the counts:
+    either would misalign every later iteration."""
+    problems = []
+    if (trace.unmask_counts < 0).any() or (trace.remask_counts < 0).any():
+        problems.append("unmask_counts or remask_counts holds a negative count")
+    iterations = len(trace.unmask_counts)
+    unmasks, remasks = int(trace.unmask_counts.sum()), int(trace.remask_counts.sum())
+    lengths = {
+        "remask_counts": iterations, "masked_after": iterations,
+        "unmask_pos": unmasks, "unmask_tok": unmasks, "unmask_conf": unmasks,
+        "remask_pos": remasks, "remask_rate": remasks,
+    }
+    for name, want in lengths.items():
+        have = len(getattr(trace, name))
+        if have != want:
+            problems.append(f"column {name} has {have} entries, the counts say {want}")
+    return problems
+
+
 def check_trace_invariants(trace: DecodeTrace, init: DiffusionState) -> list[str]:
     """Audit one decode trace against the loop's guarantees.
 
-    Checks progress (>= 1 unmask per iteration), masked-count bookkeeping,
-    unmask-only behavior for model-decoded positions, one-shot remasking
-    restricted to initially injected positions, the n + |I| termination
-    bound, and NFE accounting. Returns a list of problems (empty = clean).
+    Checks that the columns line up, progress (>= 1 unmask per iteration),
+    masked-count bookkeeping, unmask-only behavior for model-decoded
+    positions, one-shot remasking restricted to initially injected
+    positions, the n + |I| termination bound, and NFE accounting. Returns a
+    list of problems (empty = clean).
     """
-    problems = []
+    problems = _column_problems(trace)
+    if problems:
+        return problems
     n = len(init.tokens)
     injected0 = set(init.injected)
-    masked = set(int(i) for i in np.flatnonzero(init.masked()))
+    masked = set(np.flatnonzero(init.masked()).tolist())
     unmasked_seen: set[int] = set()
     remasked_seen: set[int] = set()
 
-    for idx, rec in enumerate(trace.iterations, start=1):
-        if rec.k != idx:
-            problems.append(f"iteration {idx}: recorded k={rec.k}")
-        if len(rec.unmasked) < 1:
+    unmasked = zip(trace.unmask_pos.tolist(), trace.unmask_tok.tolist(), trace.unmask_conf.tolist())
+    remasked = zip(trace.remask_pos.tolist(), trace.remask_rate.tolist())
+    for idx, unmasks, remasks, masked_after in trace.by_iteration(unmasked, remasked):
+        unmasks = list(unmasks)
+        if not unmasks:
             problems.append(f"iteration {idx}: no position unmasked")
-        for pos, tok, conf in rec.unmasked:
+        for pos, tok, conf in unmasks:
             if pos not in masked:
                 problems.append(f"iteration {idx}: unmasked position {pos} was not masked")
             if pos in unmasked_seen:
@@ -592,7 +610,7 @@ def check_trace_invariants(trace: DecodeTrace, init: DiffusionState) -> list[str
                 problems.append(f"iteration {idx}: confidence {conf} outside [0, 1]")
             unmasked_seen.add(pos)
             masked.discard(pos)
-        for pos, rate in rec.remasked:
+        for pos, rate in remasks:
             if pos not in injected0:
                 problems.append(f"iteration {idx}: non-injected position {pos} remasked")
             if pos in remasked_seen:
@@ -603,16 +621,17 @@ def check_trace_invariants(trace: DecodeTrace, init: DiffusionState) -> list[str
                 problems.append(f"iteration {idx}: remask rate {rate} outside [0, 1]")
             remasked_seen.add(pos)
             masked.add(pos)
-        if rec.masked_after != len(masked):
+        if masked_after != len(masked):
             problems.append(
-                f"iteration {idx}: masked_after={rec.masked_after}, bookkeeping says {len(masked)}"
+                f"iteration {idx}: masked_after={masked_after}, bookkeeping says {len(masked)}"
             )
 
-    if trace.nfe != len(trace.iterations):
-        problems.append(f"nfe={trace.nfe} but {len(trace.iterations)} iterations recorded")
+    iterations = len(trace.unmask_counts)
+    if trace.nfe != iterations:
+        problems.append(f"nfe={trace.nfe} but {iterations} iterations recorded")
     bound = n + len(injected0)
-    if not trace.capped and len(trace.iterations) > bound:
-        problems.append(f"{len(trace.iterations)} iterations exceeds n + |I| = {bound}")
+    if not trace.capped and iterations > bound:
+        problems.append(f"{iterations} iterations exceeds n + |I| = {bound}")
     if not trace.capped and masked:
         problems.append(f"decode finished with {len(masked)} masked positions but capped=False")
     if trace.capped and not masked:

@@ -18,6 +18,31 @@ def write(path, text):
 BASIC = "n = 8\nnum_runs = 3\ndenoiser.c0 = 1.0\ndenoiser.c_max = 1.0\n"
 
 
+def package_env():
+    """The environment with this checkout's sources first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+@pytest.mark.parametrize("command", ["run --config", "sweep --grid"])
+def test_closed_stdout_exits_one_without_a_traceback(tmp_path, command):
+    """A reader that is gone before the first write (as with `| head`) gives
+    exit code 1 and one line on stderr."""
+    cfg = write(tmp_path / "cfg.txt", BASIC)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "warmdiff", *command.split(), cfg],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=30, env=package_env(),
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == ["error: standard output was closed"]
+
+
 class TestRun:
     def test_prints_summary_and_exits_zero(self, tmp_path, capsys):
         cfg = write(tmp_path / "cfg.txt", BASIC)
@@ -87,11 +112,9 @@ class TestRun:
         """Sizes that would exhaust memory or run for hours are config errors,
         reported before any array is allocated or target drawn."""
         cfg = write(tmp_path / "cfg.txt", line + "\n")
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
             [sys.executable, "-m", "warmdiff", "run", "--config", cfg],
-            capture_output=True, text=True, timeout=10, env=env,
+            capture_output=True, text=True, timeout=10, env=package_env(),
         )
         assert proc.returncode == 1
         err = proc.stderr.splitlines()

@@ -103,14 +103,15 @@ class TestApplyRemask:
 
     def test_zero_rates_change_nothing(self):
         state = self.make_state()
-        out = apply_remask(state, np.arange(4), np.zeros(4), DeterministicRng(1), 1)
-        assert out == []
+        positions, rates = apply_remask(state, np.arange(4), np.zeros(4), DeterministicRng(1), 1)
+        assert positions.tolist() == [] and rates.tolist() == []
         assert state.injected == {0, 1, 2, 3}
 
     def test_unit_rates_remask_everything(self):
         state = self.make_state()
-        out = apply_remask(state, np.arange(4), np.ones(4), DeterministicRng(1), 1)
-        assert [p for p, _ in out] == [0, 1, 2, 3]
+        positions, rates = apply_remask(state, np.arange(4), np.ones(4), DeterministicRng(1), 1)
+        assert positions.tolist() == [0, 1, 2, 3]
+        assert rates.tolist() == [1.0] * 4
         assert state.injected == set()
         assert int(state.masked().sum()) == 4
 
@@ -118,8 +119,8 @@ class TestApplyRemask:
         results = []
         for _ in range(2):
             state = self.make_state()
-            out = apply_remask(state, np.array([3]), np.array([0.5]), DeterministicRng(7), 2)
-            results.append((tuple(out), state.tokens.tolist()))
+            positions, rates = apply_remask(state, np.array([3]), np.array([0.5]), DeterministicRng(7), 2)
+            results.append((positions.tolist(), rates.tolist(), state.tokens.tolist()))
         assert results[0] == results[1]
 
 

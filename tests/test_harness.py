@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from reference_rng import reference_run_key
+from reference_trace import RecordTrace, columnar, reference_trace_lines
 from warmdiff import harness
 from warmdiff.core import DeterministicRng
+from warmdiff.decoder import IterationRecord
 from warmdiff.harness import (
     CSV_COLUMNS,
     ConfigError,
@@ -243,7 +245,8 @@ class TestRunOne:
         result, trace, _ = run_one(cfg, 0)
         assert result.nfe == 0
         assert result.exact_match is True
-        assert trace.iterations == []
+        assert trace.unmask_counts.size == trace.unmask_pos.size == trace.masked_after.size == 0
+        assert len(trace_lines(trace, {})) == 2
 
     def test_markov_pieces_require_corpus(self):
         with pytest.raises(ConfigError):
@@ -400,7 +403,41 @@ def test_embedding_interpolation_shortens_decoding():
     assert warm.mean_token_acc == 1.0
 
 
+# Hand-built traces at the edges of the trace writer: no iterations, a capped
+# decode, extreme floats, and iterations with several unmasks and remasks.
+EDGE_TRACES = {
+    "zero-iterations": RecordTrace([], np.array([3, 1, 0]), 0, False),
+    "zero-positions": RecordTrace([], np.array([], dtype=np.int64), 0, False),
+    "capped": RecordTrace(
+        [IterationRecord(1, [(2, 0, 0.5)], [], 3), IterationRecord(2, [(0, 3, 0.25)], [], 2)],
+        np.array([3, 4, 0, 4]), 2, True,
+    ),
+    "extreme-floats": RecordTrace(
+        [
+            IterationRecord(1, [(0, 1, 1.0), (1, 0, 5e-324)], [(3, 0.0)], 1),
+            IterationRecord(2, [(3, 2, 0.9999999999999999)], [(2, 1.0)], 1),
+            IterationRecord(3, [(2, 0, 1e-300)], [], 0),
+        ],
+        np.array([1, 0, 0, 2]), 3, False,
+    ),
+    "several-per-iteration": RecordTrace(
+        [
+            IterationRecord(1, [(0, 1, 0.95), (2, 3, 0.1 + 0.2), (5, 0, 1 / 3)], [(1, 1.0), (3, 0.1), (4, 2.5e-17)], 3),
+            IterationRecord(2, [(1, 2, 0.5), (3, 3, 0.75), (4, 0, 2.0**-52)], [], 0),
+        ],
+        np.array([1, 2, 3, 3, 0, 0]), 2, False,
+    ),
+}
+
+
 class TestTraceFormat:
+    @pytest.mark.parametrize("name", EDGE_TRACES)
+    def test_edge_cases_match_the_reference_writer(self, name):
+        trace = EDGE_TRACES[name]
+        header = {"config": {"decode.tau": 0.9, "n": len(trace.final_tokens)}, "run": 7, "seed": 2**64 - 1}
+        assert trace_lines(columnar(trace), header) == reference_trace_lines(trace, header)
+        assert columnar(trace).iterations == trace.iterations
+
     def test_lines_are_json_with_contract_fields(self):
         cfg = build_config({"n": 6, "num_runs": 1, "warmstart.method": "token-injection",
                             "decode.remask_enabled": True, "proposer.epsilon": 0.4})
@@ -431,14 +468,16 @@ class TestInvariantChecking:
     def test_tampered_trace_is_caught(self):
         cfg = build_config({"n": 6, "num_runs": 1})
         _, trace, init = run_one(cfg, 0)
-        trace.iterations[0].masked_after += 1
+        trace.masked_after[0] += 1
         problems = check_trace_invariants(trace, init)
         assert any("masked_after" in p for p in problems)
 
     def test_fabricated_remask_is_caught(self):
         cfg = build_config({"n": 6, "num_runs": 1})
         _, trace, init = run_one(cfg, 0)
-        trace.iterations[0].remasked.append((0, 0.5))
+        trace.remask_counts[0] += 1
+        trace.remask_pos = np.insert(trace.remask_pos, 0, 0)
+        trace.remask_rate = np.insert(trace.remask_rate, 0, 0.5)
         problems = check_trace_invariants(trace, init)
         assert any("non-injected" in p for p in problems)
 
@@ -446,7 +485,10 @@ class TestInvariantChecking:
         cfg = build_config({"n": 6, "num_runs": 1, "denoiser.c0": 0.3, "denoiser.gamma": 0.0,
                             "denoiser.c_max": 0.3})
         _, trace, init = run_one(cfg, 0)
-        trace.iterations[2].unmasked.clear()
+        assert trace.unmask_counts.tolist() == [1] * 6
+        trace.unmask_counts[2] = 0
+        for name in ("unmask_pos", "unmask_tok", "unmask_conf"):
+            setattr(trace, name, np.delete(getattr(trace, name), 2))
         problems = check_trace_invariants(trace, init)
         assert any("no position unmasked" in p for p in problems)
 
@@ -454,8 +496,39 @@ class TestInvariantChecking:
         cfg = build_config({"n": 6, "num_runs": 1, "denoiser.c0": 1.0, "denoiser.c_max": 1.0})
         _, trace, init = run_one(cfg, 0)
         assert check_trace_invariants(trace, init) == []
-        assert [c for _, _, c in trace.iterations[0].unmasked] == [1.0] * 6
-        pos, tok, _ = trace.iterations[0].unmasked[0]
-        trace.iterations[0].unmasked[0] = (pos, tok, float(np.nextafter(1.0, 2.0)))
+        assert trace.unmask_conf.tolist() == [1.0] * 6
+        trace.unmask_conf[0] = np.nextafter(1.0, 2.0)
         problems = check_trace_invariants(trace, init)
         assert any("outside [0, 1]" in p for p in problems)
+
+    @pytest.mark.parametrize("column", [
+        "unmask_counts", "unmask_pos", "unmask_tok", "unmask_conf",
+        "remask_counts", "remask_pos", "remask_rate", "masked_after",
+    ])
+    @pytest.mark.parametrize("change", ["extra", "missing"])
+    def test_columns_that_disagree_in_length_are_reported(self, column, change):
+        cfg = build_config({"n": 12, "warmstart.method": "token-injection", "warmstart.rho": 0.5,
+                            "decode.remask_enabled": True, "decode.b0": 1.0, "proposer.epsilon": 0.5,
+                            "num_runs": 1})
+        _, trace, init = run_one(cfg, 0)
+        assert check_trace_invariants(trace, init) == []
+        assert trace.remask_pos.size > 0
+        values = getattr(trace, column)
+        setattr(trace, column, np.append(values, values[-1:]) if change == "extra" else values[:-1])
+        problems = check_trace_invariants(trace, init)
+        assert problems and all(p.startswith("column ") for p in problems)
+
+    def test_negative_count_is_reported(self):
+        cfg = build_config({"n": 6, "num_runs": 1, "denoiser.c0": 0.3, "denoiser.gamma": 0.0,
+                            "denoiser.c_max": 0.3})
+        _, trace, init = run_one(cfg, 0)
+        trace.unmask_counts[:2] = [-1, 3]
+        problems = check_trace_invariants(trace, init)
+        assert problems == ["unmask_counts or remask_counts holds a negative count"]
+
+    def test_nfe_disagreeing_with_the_columns_is_caught(self):
+        cfg = build_config({"n": 6, "num_runs": 1})
+        _, trace, init = run_one(cfg, 0)
+        trace.nfe += 1
+        problems = check_trace_invariants(trace, init)
+        assert any("iterations recorded" in p for p in problems)

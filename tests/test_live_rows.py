@@ -6,7 +6,11 @@ probability matrix and reads confidences from it. Over faithful and credulous
 oracles, embedding overrides with both persistence modes, the markov
 denoiser, remasking on and off, and thresholds equal to confidences the
 loop actually emits, `decode` must produce the same trace bytes and tokens.
+The loop keeps one `IterationRecord` per iteration and is written out by the
+reference writer, so the comparison also covers `trace_lines` on columns.
 """
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -27,10 +31,12 @@ from warmdiff.denoiser import NoisyOracleParams, prepare
 from warmdiff.harness import trace_lines
 from warmdiff.warmstart import METHODS, PERSISTENCE_MODES, WarmStartConfig, warm_init
 
+from reference_trace import RecordTrace, columnar, reference_trace_lines
+
 
 def full_matrix_decode(denoiser, ctx, init, dcfg, wcfg, rng):
     state = init.copy()
-    trace = DecodeTrace()
+    records = []
     k = 0
     masked = state.masked()
     while masked.any() and k < dcfg.k_max:
@@ -56,16 +62,12 @@ def full_matrix_decode(denoiser, ctx, init, dcfg, wcfg, rng):
             eligible = np.array(sorted(state.injected), dtype=np.int64)
             c_bar = pi[eligible, state.tokens[eligible]]
             rates = remask_rates(c_bar, k, dcfg.b0, dcfg.lam)
-            remasked = apply_remask(state, eligible, rates, rng, k)
+            positions, hit_rates = apply_remask(state, eligible, rates, rng, k)
+            remasked = list(zip(positions.tolist(), hit_rates.tolist()))
 
         masked = state.masked()
-        trace.iterations.append(
-            IterationRecord(k=k, unmasked=unmasked, remasked=remasked, masked_after=int(masked.sum()))
-        )
-    trace.nfe = len(trace.iterations)
-    trace.capped = bool(masked.any())
-    trace.final_tokens = state.tokens
-    return trace
+        records.append(IterationRecord(k=k, unmasked=unmasked, remasked=remasked, masked_after=int(masked.sum())))
+    return RecordTrace(records, state.tokens, len(records), bool(masked.any()))
 
 
 @st.composite
@@ -108,8 +110,8 @@ def runs(draw):
     return denoiser, ctx, init, wcfg, rng, knobs
 
 
-def trace_bytes(trace):
-    return "\n".join(trace_lines(trace, {})).encode()
+def trace_bytes(write, trace, header=None):
+    return "\n".join(write(trace, header or {})).encode()
 
 
 @pytest.mark.filterwarnings("ignore:k_max")
@@ -126,5 +128,20 @@ def test_live_rows_match_the_full_matrix(run, data):
         dcfg = DecodeConfig(tau=tau, **knobs)
         want = full_matrix_decode(denoiser, ctx, init, dcfg, wcfg, rng)
         got = decode(denoiser, ctx, init, dcfg, wcfg, rng)
-        assert trace_bytes(got) == trace_bytes(want)
+        assert trace_bytes(trace_lines, got) == trace_bytes(reference_trace_lines, want)
         assert got.final_tokens.tobytes() == want.final_tokens.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:k_max")
+@settings(max_examples=300, deadline=None)
+@given(runs(), st.floats(0.05, 1.0))
+def test_trace_lines_match_the_reference_writer(run, tau):
+    denoiser, ctx, init, wcfg, rng, knobs = run
+    got = decode(denoiser, ctx, init, DecodeConfig(tau=tau, **knobs), wcfg, rng)
+    header = {"config": {"decode.tau": tau}, "run": 3, "seed": 2**64 - 1}
+    assert trace_bytes(trace_lines, got, header) == trace_bytes(reference_trace_lines, got, header)
+    # The record view holds exactly what the columns hold.
+    again = columnar(RecordTrace(got.iterations, got.final_tokens, got.nfe, got.capped))
+    for f in fields(DecodeTrace):
+        a, b = getattr(got, f.name), getattr(again, f.name)
+        assert np.asarray(a).dtype == np.asarray(b).dtype and np.array_equal(a, b), f.name

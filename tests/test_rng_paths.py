@@ -85,6 +85,6 @@ def test_draws_callers_match_their_loops(data, V, n, seed):
     positions = np.array(sorted(state.injected), dtype=np.int64)
     rates = np.array([rate(data, [rng.draw("remask", int(p), k)]) for p in positions], dtype=np.float64)
     reference = state.copy()
-    remasked = apply_remask(state, positions, rates, rng, k)
-    assert remasked == loop_remask(reference, positions, rates, rng, k)
+    remasked, hit_rates = apply_remask(state, positions, rates, rng, k)
+    assert list(zip(remasked.tolist(), hit_rates.tolist())) == loop_remask(reference, positions, rates, rng, k)
     assert (state.tokens.tobytes(), state.injected) == (reference.tokens.tobytes(), reference.injected)
