@@ -99,7 +99,7 @@ def load_corpus(path: str) -> list[list[int]]:
             if not line:
                 continue
             try:
-                sequences.append([int(tok) for tok in line.split()])
+                sequences.append(list(map(int, line.split())))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: corpus lines must be whitespace-separated integers") from exc
     if not sequences:

@@ -111,11 +111,12 @@ def _cat(parts: list[np.ndarray], dtype) -> np.ndarray:
     return np.concatenate(parts) if parts else np.empty(0, dtype)
 
 
-def confidences(pi: np.ndarray) -> np.ndarray:
-    """Per-row confidence: the max probability, read at the row's argmax (a
-    gather is cheaper than a max along short rows). Decoding reads it at
-    masked rows only."""
-    return pi[np.arange(len(pi)), pi.argmax(axis=1)]
+def confidences(pi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row argmax (the lowest token id on ties) and confidence, the max
+    probability read at it (a gather is cheaper than a max along short
+    rows). Decoding unmasks to the argmax and reads both at masked rows only."""
+    best = pi.argmax(axis=1)
+    return best, pi[np.arange(len(pi)), best]
 
 
 def select_unmask(conf: np.ndarray, masked: np.ndarray, tau: float) -> np.ndarray:
@@ -210,10 +211,10 @@ def decode(
         pi = denoiser(state, ctx, rows)
         if not np.isfinite(pi).all():
             raise ValueError(f"denoiser returned non-finite probabilities at iteration {k}")
-        conf = confidences(pi)
+        best, conf = confidences(pi)
         picked = select_unmask(conf, masked[rows], dcfg.tau)
         chosen = rows[picked]
-        tokens = pi[picked].argmax(axis=1)
+        tokens = best[picked]
         unmask_counts.append(len(chosen))
         unmask_pos.append(chosen)
         unmask_tok.append(tokens)

@@ -5,10 +5,11 @@ rows`, deterministic given its inputs. `rows` is an ascending int64 array of
 positions, or None for all n of them. The decoder asks only for the rows it
 reads: the masked positions, plus the still-injected ones when remasking
 needs the probability of their current token. Quantities that depend on
-the whole sequence (the revealed fraction, credulous flips, nearest revealed
-neighbours) are computed over all n positions first, and each requested row
-is then built by the same elementwise operations as in the full matrix, so
-its bytes do not depend on which other rows were asked for. `prepare` checks
+the whole sequence (the revealed fraction, credulous flips) are computed over
+all n positions first, nearest revealed neighbours by binary search over the
+revealed positions for the requested rows only, and each requested row is
+then built by the same elementwise operations as in the full matrix, so its
+bytes do not depend on which other rows were asked for. `prepare` checks
 a run's inputs once and builds its context, precomputing what stays
 constant over the run.
 """
@@ -218,17 +219,16 @@ def markov_logits(state: DiffusionState, ctx: DenoiseContext, rows: np.ndarray |
     of `rows`.
     """
     model: BigramModel = ctx.params
-    n = len(state.tokens)
-    revealed = state.tokens != state.vocab.mask_id
-    pos = np.arange(n)
-    # Nearest revealed position strictly left and right of each position; -1
-    # and n stand for none and both index the appended mask id, whose table
-    # row is the unigram.
-    left = np.maximum.accumulate(np.where(revealed, pos, -1))
-    right = np.minimum.accumulate(np.where(revealed, pos, n)[::-1])[::-1]
-    tokens = np.append(state.tokens, state.vocab.mask_id)
-    before = tokens[np.concatenate(([-1], left[:-1]))]
-    after = tokens[np.concatenate((right[1:], [n]))]
-    if rows is not None:
-        before, after = before[rows], after[rows]
+    tokens, mask_id = state.tokens, state.vocab.mask_id
+    if rows is None:
+        rows = np.arange(len(tokens))
+    # The revealed tokens in position order, padded at both ends with the
+    # mask id (whose table row is the unigram) for "none". i revealed
+    # positions lie strictly left of a row and j at or left of it, so its
+    # neighbours are ext[i] and ext[j + 1], never a fixed row's own token.
+    revealed = (tokens != mask_id).nonzero()[0]
+    ext = np.full(len(revealed) + 2, mask_id)
+    ext[1:-1] = tokens[revealed]
+    before = ext[revealed.searchsorted(rows)]
+    after = ext[1:][revealed.searchsorted(rows, "right")]
     return model.half_next_table[before] + model.half_prev_table[after]

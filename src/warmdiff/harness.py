@@ -295,9 +295,12 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 @dataclass
 class RunResources:
+    """What every run of a config shares. `target_seqs` holds the corpus
+    sequences of length >= n, which corpus targets are cut from."""
+
     table: EmbeddingTable
     bigram: BigramModel | None = None
-    corpus: list[list[int]] | None = None
+    target_seqs: list[list[int]] | None = None
 
 
 def build_resources(cfg: ExperimentConfig) -> RunResources:
@@ -308,7 +311,7 @@ def build_resources(cfg: ExperimentConfig) -> RunResources:
         or cfg.target_source == "corpus"
         or (cfg.proposer_kind == "markov" and cfg.warmstart.method != "none")
     )
-    corpus = None
+    target_seqs = None
     bigram = None
     if needs_corpus:
         if not cfg.corpus_path:
@@ -318,15 +321,16 @@ def build_resources(cfg: ExperimentConfig) -> RunResources:
             bigram = BigramModel.fit(corpus, cfg.vocab_size)  # range-checks every token
         except (OSError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
-        if cfg.target_source == "corpus" and not any(len(s) >= cfg.n for s in corpus):
+        target_seqs = [s for s in corpus if len(s) >= cfg.n]
+        if cfg.target_source == "corpus" and not target_seqs:
             raise ConfigError(f"corpus has no sequence of length >= n = {cfg.n}")
-    return RunResources(table=table, bigram=bigram, corpus=corpus)
+    return RunResources(table=table, bigram=bigram, target_seqs=target_seqs)
 
 
 def _make_target(cfg: ExperimentConfig, resources: RunResources, rng: DeterministicRng) -> np.ndarray:
     if cfg.target_source == "uniform":
         return (rng.draws("target", np.arange(cfg.n), 0) * cfg.vocab_size).astype(np.int64)
-    eligible = [s for s in resources.corpus if len(s) >= cfg.n]
+    eligible = resources.target_seqs
     seq = eligible[int(rng.draw("target-seq", 0, 0) * len(eligible))]
     start = int(rng.draw("target-off", 0, 0) * (len(seq) - cfg.n + 1))
     return np.array(seq[start : start + cfg.n], dtype=np.int64)

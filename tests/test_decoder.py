@@ -21,12 +21,20 @@ BASELINE = WarmStartConfig(method="none")
 
 class TestConfidences:
     def test_masked_uses_max_probability(self):
-        conf = confidences(np.array([[0.7, 0.2, 0.1]]))
-        assert conf[0] == 0.7
+        best, conf = confidences(np.array([[0.7, 0.2, 0.1], [0.1, 0.3, 0.6]]))
+        assert best.tolist() == [0, 2]
+        assert conf.tolist() == [0.7, 0.6]
 
     def test_uniform_row_degenerate(self):
         pi = np.full((2, 4), 0.25)
-        assert np.allclose(confidences(pi), 0.25)
+        best, conf = confidences(pi)
+        assert best.tolist() == [0, 0]
+        assert np.allclose(conf, 0.25)
+
+    def test_tied_maxima_pick_the_lowest_token_id(self):
+        best, conf = confidences(np.array([[0.1, 0.45, 0.45], [0.4, 0.2, 0.4]]))
+        assert best.tolist() == [1, 0]
+        assert conf.tolist() == [0.45, 0.4]
 
 
 class TestSelectUnmask:
@@ -252,6 +260,28 @@ class TestDecode:
         ctx = oracle_ctx(target, init, c0=0.3, gamma=0.0, c_max=0.3)
         decode(spy, ctx, init, DecodeConfig(tau=0.9), BASELINE, DeterministicRng(0))
         assert all(seen)
+
+    def test_tied_maxima_unmask_the_lowest_token_id(self):
+        """Rows whose maximum is shared by several tokens: both the threshold
+        pass (k = 1) and the forced pick (k = 2) unmask the lowest tied id."""
+        v = Vocabulary(4)
+        script = iter(
+            [
+                np.array([[0.0, 0.0, 0.5, 0.5], [0.05, 0.05, 0.45, 0.45], [0.3, 0.3, 0.3, 0.1]]),
+                np.array([[0.0, 0.5, 0.0, 0.5], [0.0, 0.0, 0.0, 1.0], [0.1, 0.3, 0.3, 0.3]]),
+            ]
+        )
+
+        def tied(state, ctx, rows):
+            return next(script)[rows]
+
+        trace = decode(tied, None, all_mask_init(v, 3), DecodeConfig(tau=0.4), BASELINE, DeterministicRng(0))
+        assert trace.nfe == 2
+        assert trace.unmask_counts.tolist() == [2, 1]
+        assert trace.unmask_pos.tolist() == [0, 1, 2]
+        assert trace.unmask_tok.tolist() == [2, 2, 1]
+        assert trace.unmask_conf.tolist() == [0.5, 0.45, 0.3]
+        assert trace.final_tokens.tolist() == [2, 2, 1]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_denoiser_output_raises(self, bad):

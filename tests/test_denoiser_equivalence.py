@@ -21,7 +21,7 @@ from warmdiff.core import DeterministicRng, DiffusionState, EmbeddingTable, Voca
 from warmdiff.decoder import DecodeConfig, decode
 from warmdiff.denoiser import DenoiseContext, NoisyOracleParams, markov_logits, noisy_oracle_logits, prepare
 from warmdiff.proposal import propose_markov
-from warmdiff.warmstart import WarmStartConfig, interpolate_embeddings
+from warmdiff.warmstart import WarmStartConfig, inject_tokens, interpolate_embeddings
 
 
 def ref_cosine(u, v):
@@ -240,6 +240,75 @@ def test_markov_with_no_reveal_on_a_side(tokens):
     state = DiffusionState(vocab=Vocabulary(3), tokens=np.array(tokens))
     _, ctx = prepare("markov", [0] * len(tokens), model, state)
     assert markov_logits(state, ctx).tobytes() == reference_markov(state, model).tobytes()
+
+
+def decode_rows(tokens, injected, mask_id):
+    """The rows decode asks for: masked plus still-injected, ascending."""
+    live = tokens == mask_id
+    live[sorted(injected)] = True
+    return live.nonzero()[0]
+
+
+def model_at_scale(V, seed):
+    rng = np.random.default_rng(seed)
+    return BigramModel.fit([rng.integers(0, V, 48).tolist() for _ in range(8)], V)
+
+
+def edge_states(n, mask_id):
+    """(tokens, injected) with 0 revealed, 1 revealed (first, middle, last),
+    all revealed (none, some and all of them injected) and revealed tokens
+    only at the two ends."""
+    tokens = np.arange(n) % mask_id
+    masked = np.full(n, mask_id)
+    states = [(masked, set())]
+    for p in sorted({0, n // 2, n - 1}):
+        one = masked.copy()
+        one[p] = tokens[p]
+        states += [(one, set()), (one, {p})]
+    states += [(tokens, set(range(0, n, 3))), (tokens, set(range(n)))]
+    if n >= 2:
+        ends = masked.copy()
+        ends[[0, -1]] = tokens[[0, -1]]
+        states += [(ends, set()), (ends, {0}), (ends, {n - 1}), (ends, {0, n - 1})]
+    return states
+
+
+@pytest.mark.parametrize("n,V", [(1, 2), (2, 2), (3, 3), (5, 4), (64, 64)])
+def test_markov_matches_per_position_loop_on_edge_states(n, V):
+    model = model_at_scale(V, n)
+    for tokens, injected in edge_states(n, V):
+        state = DiffusionState(vocab=Vocabulary(V), tokens=tokens.copy(), injected=injected)
+        _, ctx = prepare("markov", [0] * n, model, state)
+        expected = reference_markov(state, model)
+        rows = decode_rows(state.tokens, injected, V)
+        assert markov_logits(state, ctx, rows).tobytes() == expected[rows].tobytes()
+        assert markov_logits(state, ctx).tobytes() == expected.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(3, 3), (8, 5), (64, 64)]), st.floats(0.0, 1.0), st.integers(0, 2**32))
+def test_markov_matches_per_position_loop_through_decode(shape, rho, seed):
+    """Every call of a whole decode at decode scale, with token injection
+    and remasking, so each call's rows are the masked plus the still-injected
+    positions."""
+    n, V = shape
+    model = model_at_scale(V, seed)
+    vocab = Vocabulary(V)
+    target = propose_markov(model, n, DeterministicRng(seed))
+    init = inject_tokens(vocab, target, rho, DeterministicRng(seed + 1))
+    _, ctx = prepare("markov", target, model, init)
+    calls = []
+
+    def checked(state, ctx, rows):
+        assert rows.tolist() == decode_rows(state.tokens, state.injected, V).tolist()
+        out = markov_logits(state, ctx, rows)
+        assert out.tobytes() == reference_markov(state, model)[rows].tobytes()
+        calls.append(len(rows))
+        return out
+
+    dcfg = DecodeConfig(tau=0.5, remask_enabled=True, b0=0.3, lam=0.05)
+    trace = decode(checked, ctx, init, dcfg, WarmStartConfig(method="token-injection"), DeterministicRng(seed + 2))
+    assert len(calls) == trace.nfe
 
 
 @settings(max_examples=100, deadline=None)

@@ -267,10 +267,47 @@ class TestRunOne:
 
     def test_corpus_too_short_rejected(self, tmp_path):
         path = tmp_path / "c.txt"
-        path.write_text("0 1\n", encoding="utf-8")
-        cfg = build_config({"n": 4, "target_source": "corpus", "corpus.path": str(path)})
-        with pytest.raises(ConfigError):
-            build_resources(cfg)
+        path.write_text("0 1\n0 1 2\n", encoding="utf-8")
+        for kind in ("noisy-oracle", "markov"):
+            cfg = build_config({"n": 4, "target_source": "corpus", "corpus.path": str(path), "denoiser.kind": kind})
+            with pytest.raises(ConfigError, match=r"^corpus has no sequence of length >= n = 4$"):
+                build_resources(cfg)
+
+    def test_corpus_too_short_serves_uniform_targets(self, tmp_path):
+        """Only corpus targets need a sequence of length >= n; the bigram
+        model is fitted on the short ones."""
+        path = tmp_path / "c.txt"
+        path.write_text("0 1\n2 3 0\n", encoding="utf-8")
+        cfg = build_config({
+            "n": 6, "vocab_size": 4, "num_runs": 2, "corpus.path": str(path),
+            "denoiser.kind": "markov", "proposer.kind": "markov", "warmstart.method": "token-injection",
+        })
+        resources = build_resources(cfg)
+        assert resources.target_seqs == []
+        record, _ = run_experiment(cfg, resources=resources)
+        assert len(record.runs) == 2
+        assert all(r.nfe >= 1 for r in record.runs)
+
+    def test_corpus_targets_are_cut_from_the_long_sequences(self, tmp_path):
+        """Targets drawn from the filtered list the resources hold equal those
+        drawn from the file's lines of length >= n, in file order."""
+        lines = [list(range(length)) for length in (3, 9, 5, 6, 2, 12, 7)]
+        path = tmp_path / "c.txt"
+        path.write_text("".join(" ".join(map(str, seq)) + "\n" for seq in lines), encoding="utf-8")
+        n = 6
+        cfg = build_config({
+            "n": n, "vocab_size": 12, "num_runs": 24, "target_source": "corpus", "corpus.path": str(path),
+            "denoiser.c0": 1.0, "denoiser.c_max": 1.0,
+        })
+        resources = build_resources(cfg)
+        eligible = [seq for seq in lines if len(seq) >= n]
+        assert resources.target_seqs == eligible
+        for r in range(cfg.num_runs):
+            result, trace, _ = run_one(cfg, r, resources)
+            rng = DeterministicRng(result.seed)
+            seq = eligible[int(rng.draw("target-seq", 0, 0) * len(eligible))]
+            start = int(rng.draw("target-off", 0, 0) * (len(seq) - n + 1))
+            assert trace.final_tokens.tolist() == seq[start : start + n]
 
     def test_corpus_token_out_of_range_rejected(self, tmp_path):
         path = tmp_path / "c.txt"
