@@ -24,6 +24,7 @@ from .decoder import (
     confidences,
     decode,
     remask_rates,
+    rows_denoiser,
     select_unmask,
 )
 from .denoiser import DenoiseContext, NoisyOracleParams, markov_logits, noisy_oracle_logits, prepare

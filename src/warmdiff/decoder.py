@@ -1,12 +1,20 @@
 """Confidence-threshold parallel unmasking with optional remasking.
 
-One loop iteration = one denoiser call: take the probability rows it
-returns as they are, unmask every masked position whose confidence strictly
-exceeds tau (or the single most confident one if none does, guaranteeing
-progress), then stochastically remask still-injected positions at a rate
-driven by their current-token confidence and a linearly decaying bias.
+One loop iteration = one denoiser call: take the argmax and confidence it
+returns for each masked position as they are, unmask every masked position
+whose confidence strictly exceeds tau (or the single most confident one if
+none does, guaranteeing progress), then stochastically remask
+still-injected positions at a rate driven by their current-token
+probability, which the same call returns, and a linearly decaying bias.
 Model-decoded tokens are never revised; each injected position can be
 remasked at most once.
+
+A denoiser returns only what the loop reads, `(best, conf, held)`, not
+probability rows (see `warmdiff.denoiser`); `rows_denoiser` adapts a
+callable that returns rows, reducing them with `confidences`. The record
+view `DecodeTrace.iterations` and `confidences` stay public because the
+benchmark (`bench/measure.py`) counts from the one and wraps the other by
+name.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ __all__ = [
     "IterationRecord",
     "DecodeTrace",
     "confidences",
+    "rows_denoiser",
     "select_unmask",
     "remask_rates",
     "apply_remask",
@@ -114,20 +123,42 @@ def _cat(parts: list[np.ndarray], dtype) -> np.ndarray:
 def confidences(pi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-row argmax (the lowest token id on ties) and confidence, the max
     probability read at it (a gather is cheaper than a max along short
-    rows). Decoding unmasks to the argmax and reads both at masked rows only."""
+    rows)."""
     best = pi.argmax(axis=1)
     return best, pi[np.arange(len(pi)), best]
 
 
-def select_unmask(conf: np.ndarray, masked: np.ndarray, tau: float) -> np.ndarray:
-    """Masked positions to unmask: all with conf strictly above tau, else the
-    single most confident one (lowest index on ties)."""
-    scores = np.where(masked, conf, -np.inf)
-    best = scores.argmax()
-    if scores[best] > tau:
-        return (scores > tau).nonzero()[0]
-    if not masked[best]:
+def rows_denoiser(fn):
+    """The denoiser that reads `fn(state, ctx, rows) -> len(rows) x V
+    probability rows`: it asks `fn` once for the union of `rows` and
+    `held_rows`, ascending, reduces the rows with `confidences` and reads
+    each held position's row at the token it holds. Non-finite rows raise
+    ValueError."""
+
+    def denoiser(state, ctx, rows=None, held_rows=None):
+        if rows is None:
+            rows = np.arange(len(state.tokens))
+        if held_rows is None:
+            held_rows = np.empty(0, dtype=np.int64)
+        live = np.union1d(rows, held_rows)
+        pi = fn(state, ctx, live)
+        if not np.isfinite(pi).all():
+            raise ValueError("denoiser returned non-finite probabilities")
+        best, conf = confidences(pi[live.searchsorted(rows)])
+        return best, conf, pi[live.searchsorted(held_rows), state.tokens[held_rows]]
+
+    return denoiser
+
+
+def select_unmask(conf: np.ndarray, tau: float) -> np.ndarray:
+    """Indices into `conf`, the masked positions' confidences, to unmask: all
+    strictly above tau, else the single most confident one (lowest index on
+    ties)."""
+    if not len(conf):
         raise ValueError("select_unmask requires at least one masked position")
+    best = conf.argmax()
+    if conf[best] > tau:
+        return (conf > tau).nonzero()[0]
     return np.array([best], dtype=np.int64)
 
 
@@ -165,12 +196,13 @@ def decode(
     """Run the full inference loop from a warm-started (or all-mask) state;
     the trace holds the final tokens.
 
-    Per iteration k = 1, 2, ...: call the denoiser (one NFE) for the
-    probability rows the iteration reads, unmask via the strict-tau rule on
-    those rows as they are, then (if enabled) remask still-injected positions
-    using the same rows. Non-finite denoiser output raises ValueError. Stops
-    when nothing is masked; if the k_max cap is hit first, the trace is
-    flagged "capped" instead of raising.
+    Per iteration k = 1, 2, ...: call the denoiser (one NFE) on the masked
+    positions and, when remasking, the still-injected ones; unmask via the
+    strict-tau rule on the confidences it returns, as they are, then (if
+    enabled) remask still-injected positions at rates from the probability
+    of the token each holds, from the same call. A non-finite confidence or
+    held probability raises ValueError. Stops when nothing is masked; if the
+    k_max cap is hit first, the trace is flagged "capped" instead of raising.
 
     The embedding override is visible to the denoiser on every iteration
     under "while-masked" persistence, and only on the first under
@@ -200,19 +232,15 @@ def decode(
         if wcfg.override_persistence == "first-iteration" and k > 1:
             state.embedding_override = None
 
-        # Live rows: the masked positions, plus the injected ones whose
-        # current-token probability remasking reads. Row i of pi is position
-        # rows[i]; rows ascend, so row order breaks ties like position order.
-        live = masked
-        if eligible.size:
-            live = masked.copy()
-            live[eligible] = True
-        rows = live.nonzero()[0]
-        pi = denoiser(state, ctx, rows)
-        if not np.isfinite(pi).all():
+        # Entry i of best and conf is masked position rows[i]; rows ascend, so
+        # entry order breaks ties like position order. held[j] is the
+        # probability of the token eligible[j] holds.
+        rows = masked.nonzero()[0]
+        best, conf, held = denoiser(state, ctx, rows, eligible)
+        # Counting finite entries costs about half of np.isfinite(...).all().
+        if np.count_nonzero(np.isfinite(conf)) + np.count_nonzero(np.isfinite(held)) < len(conf) + len(held):
             raise ValueError(f"denoiser returned non-finite probabilities at iteration {k}")
-        best, conf = confidences(pi)
-        picked = select_unmask(conf, masked[rows], dcfg.tau)
+        picked = select_unmask(conf, dcfg.tau)
         chosen = rows[picked]
         tokens = best[picked]
         unmask_counts.append(len(chosen))
@@ -225,8 +253,7 @@ def decode(
 
         n_remasked = 0
         if eligible.size:
-            c_bar = pi[np.searchsorted(rows, eligible), state.tokens[eligible]]
-            rates = remask_rates(c_bar, k, dcfg.b0, dcfg.lam)
+            rates = remask_rates(held, k, dcfg.b0, dcfg.lam)
             positions, hit_rates = apply_remask(state, eligible, rates, rng, k)
             n_remasked = len(positions)
             if n_remasked:

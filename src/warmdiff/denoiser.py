@@ -1,17 +1,25 @@
 """Synthetic reverse models standing in for a trained mask predictor.
 
-A denoiser is a callable `(state, ctx, rows) -> len(rows) x V probability
-rows`, deterministic given its inputs. `rows` is an ascending int64 array of
-positions, or None for all n of them. The decoder asks only for the rows it
-reads: the masked positions, plus the still-injected ones when remasking
-needs the probability of their current token. Quantities that depend on
-the whole sequence (the revealed fraction, credulous flips) are computed over
-all n positions first, nearest revealed neighbours by binary search over the
-revealed positions for the requested rows only, and each requested row is
-then built by the same elementwise operations as in the full matrix, so its
-bytes do not depend on which other rows were asked for. `prepare` checks
-a run's inputs once and builds its context, precomputing what stays
-constant over the run.
+A denoiser is a callable `(state, ctx, rows, held_rows) -> (best, conf,
+held)`, deterministic given its inputs. It returns what confidence-threshold
+decoding reads from the probability rows of the positions `rows` (an
+ascending int64 array, or None for all n), without building those
+len(rows) x V rows: `best`, each row's argmax (the lowest token id on ties);
+`conf`, the row's probability at `best`; and `held`, for each position p in
+`held_rows` (ascending, never masked, or None for none), the row's
+probability of the token p holds, which remasking reads. Every entry is bit
+for bit what the full row gives, and it does not depend on which other
+positions were asked for. Quantities that depend on the whole sequence (the
+revealed count, credulous flips) are computed over all n positions first,
+nearest revealed neighbours by binary search over the revealed positions.
+`prepare` checks a run's inputs once and builds its context, precomputing
+what stays constant over the run. `decoder.rows_denoiser` turns a callable
+that returns probability rows into a denoiser.
+
+The two denoisers keep the names `noisy_oracle_logits` and `markov_logits`,
+though they return neither logits nor rows: the benchmark's tracer
+(`bench/measure.py`) looks each span up by name on every run, so the names
+change only together with it.
 """
 
 from __future__ import annotations
@@ -34,6 +42,8 @@ __all__ = [
 ]
 
 _MODES = ("faithful", "credulous")
+_NO_HELD = np.empty(0, dtype=np.float64)
+_NO_HELD.flags.writeable = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,64 +169,78 @@ def prepare(kind: str, target, params, init: DiffusionState, table: EmbeddingTab
     return noisy_oracle_logits, DenoiseContext(target=ctx.target, params=params, levels=levels, bonus=bonus)
 
 
-def noisy_oracle_logits(state: DiffusionState, ctx: DenoiseContext, rows: np.ndarray | None = None) -> np.ndarray:
-    """Probability rows from the context-gain oracle.
 
-    Per-position confidence is c = min(c_max, c0 + gamma * r / n) where r
+
+def noisy_oracle_logits(state: DiffusionState, ctx: DenoiseContext, rows=None, held_rows=None):
+    """(best, conf, held) of the context-gain oracle's probability rows.
+
+    Per-position confidence is hi = min(c_max, c0 + gamma * r / n) where r
     counts the correctly revealed positions (faithful mode) or the revealed
     positions regardless of correctness (credulous mode), read from the
     context's exact `levels` table. When an embedding override is present,
     each masked position additionally earns
     eta * (cos(override, Emb(target)) - cos(mask_vec, Emb(target))), the
-    context's bonus, clipped into [0, c_max]. The intended token gets
-    probability c and the remaining mass is uniform over the other V-1
-    tokens, one row per entry of `rows`.
+    context's bonus, clipped into [0, c_max]. A row holds hi at its intended
+    token and lo = (1 - hi) / (V - 1) at each of the other V - 1, so its
+    argmax is the intended token if hi > lo, token 0 if hi == lo and else
+    the lowest other id, and its maximum is max(hi, lo). A held position
+    is never masked, so it carries no bonus.
     """
     params: NoisyOracleParams = ctx.params
     if ctx.levels is None:
         raise ValueError("context has no confidence levels; build it with prepare")
-    V, mask_id, tokens = state.vocab.size, state.vocab.mask_id, state.tokens
+    V, mask_id, tokens, target = state.vocab.size, state.vocab.mask_id, state.tokens, ctx.target
     if rows is None:
         rows = np.arange(len(tokens))
 
     if params.mode == "faithful":
         # `prepare` keeps target ids below the mask id, so a position that
         # holds its target token is a correct reveal.
-        r = np.count_nonzero(tokens == ctx.target)
+        r = np.count_nonzero(tokens == target)
     else:
         revealed = tokens != mask_id
         r = np.count_nonzero(revealed)
-    # One confidence for every row or, with the bonus, a column of them.
-    conf = ctx.levels[r]
+        wrong = (revealed & (tokens != target)).astype(np.float64)
+        revealed_in_window = _window_sums(revealed.astype(np.float64), params.window)
+        wrong_in_window = _window_sums(wrong, params.window)
+        target = np.where(2.0 * wrong_in_window > revealed_in_window, (target + 1) % V, target)
+    intended = target[rows]
+    hi = ctx.levels.item(r)
+    lo = (1.0 - hi) / (V - 1)
+
     if state.embedding_override is not None and params.eta > 0.0:
         if ctx.bonus is None:
             raise ValueError("context has no embedding bonus; build it with prepare from the overridden state")
-        boosted = np.clip(conf + ctx.bonus[rows], 0.0, params.c_max)
-        conf = np.where(tokens[rows] == mask_id, boosted, conf)[:, None]
+        his = np.where(tokens[rows] == mask_id, np.clip(hi + ctx.bonus[rows], 0.0, params.c_max), hi)
+        los = (1.0 - his) / (V - 1)
+        best = np.where(his > los, intended, (his < los) & (intended == 0))
+        conf = np.maximum(his, los)
+    else:
+        # One hi for every row: one branch, not three elementwise ones.
+        if hi > lo:
+            best = intended
+        elif hi < lo:
+            best = (intended == 0).astype(np.int64)
+        else:
+            best = np.zeros(len(rows), dtype=np.int64)
+        conf = np.full(len(rows), max(hi, lo))
 
-    intended = ctx.target[rows]
-    if params.mode == "credulous":
-        wrong = (revealed & (tokens != ctx.target)).astype(np.float64)
-        revealed_in_window = _window_sums(revealed.astype(np.float64), params.window)
-        wrong_in_window = _window_sums(wrong, params.window)
-        flip = (2.0 * wrong_in_window > revealed_in_window)[rows]
-        intended[flip] = (intended[flip] + 1) % V
-
-    pi = np.empty((len(rows), V), dtype=np.float64)
-    pi[:] = (1.0 - conf) / (V - 1)
-    pi[np.arange(len(rows))[:, None], intended[:, None]] = conf
-    return pi
+    held = _NO_HELD
+    if held_rows is not None and len(held_rows):
+        held = np.where(tokens[held_rows] == target[held_rows], hi, lo)
+    return best, conf, held
 
 
-def markov_logits(state: DiffusionState, ctx: DenoiseContext, rows: np.ndarray | None = None) -> np.ndarray:
-    """Probability rows from a bigram mixture conditioned on the nearest
+def markov_logits(state: DiffusionState, ctx: DenoiseContext, rows=None, held_rows=None):
+    """(best, conf, held) of a bigram mixture conditioned on the nearest
     revealed tokens.
 
     Each row is 0.5 * P(. | nearest revealed token to the left) plus
     0.5 * P_reverse(. | nearest revealed token to the right); a side with no
     revealed token contributes the unigram instead. Fixed positions use the
-    same formula (their own token excluded from "nearest"). One row per entry
-    of `rows`.
+    same formula (their own token excluded from "nearest"). The requested
+    rows are gathered and reduced; a held position's entry is the same
+    single float add, read at its token.
     """
     model: BigramModel = ctx.params
     tokens, mask_id = state.tokens, state.vocab.mask_id
@@ -231,4 +255,15 @@ def markov_logits(state: DiffusionState, ctx: DenoiseContext, rows: np.ndarray |
     ext[1:-1] = tokens[revealed]
     before = ext[revealed.searchsorted(rows)]
     after = ext[1:][revealed.searchsorted(rows, "right")]
-    return model.half_next_table[before] + model.half_prev_table[after]
+    gathered = model.half_next_table[before] + model.half_prev_table[after]
+    best = gathered.argmax(axis=1)
+    conf = gathered[np.arange(len(rows)), best]
+
+    held = _NO_HELD
+    if held_rows is not None and len(held_rows):
+        # A held position is revealed[j] itself, so its neighbours are
+        # ext[j] and ext[j + 2].
+        j = revealed.searchsorted(held_rows)
+        t = tokens[held_rows]
+        held = model.half_next_table[ext[j], t] + model.half_prev_table[ext[j + 2], t]
+    return best, conf, held

@@ -4,13 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference_decoder import reference_decode, reference_select_unmask
-from warmdiff.core import DeterministicRng, Vocabulary, all_mask_init
+from reference_rows import oracle_rows
+from warmdiff.core import DeterministicRng, DiffusionState, EmbeddingTable, Vocabulary, all_mask_init
 from warmdiff.decoder import (
     DecodeConfig,
     apply_remask,
     confidences,
     decode,
     remask_rates,
+    rows_denoiser,
     select_unmask,
 )
 from warmdiff.denoiser import NoisyOracleParams, noisy_oracle_logits, prepare
@@ -37,30 +39,37 @@ class TestConfidences:
         assert conf.tolist() == [0.45, 0.4]
 
 
+def select_masked(conf, masked, tau):
+    """Positions to unmask, as decode picks them: `select_unmask` sees the
+    masked positions' confidences only."""
+    rows = masked.nonzero()[0]
+    return rows[select_unmask(conf[rows], tau)]
+
+
 class TestSelectUnmask:
     def test_strict_threshold_parallel(self):
         conf = np.array([0.95, 0.5, 0.99])
         masked = np.array([True, True, True])
-        assert select_unmask(conf, masked, 0.9).tolist() == [0, 2]
+        assert select_masked(conf, masked, 0.9).tolist() == [0, 2]
 
     def test_forced_progress_lowest_index_tie_break(self):
         conf = np.array([0.3, 0.6, 0.6])
         masked = np.array([True, True, True])
-        assert select_unmask(conf, masked, 0.9).tolist() == [1]
+        assert select_masked(conf, masked, 0.9).tolist() == [1]
 
     def test_single_masked_position_always_selected(self):
         conf = np.array([0.99, 0.01, 0.5])
         masked = np.array([False, True, False])
-        assert select_unmask(conf, masked, 0.9).tolist() == [1]
+        assert select_masked(conf, masked, 0.9).tolist() == [1]
 
     def test_equal_to_tau_is_not_parallel(self):
         conf = np.array([0.9, 0.95])
         masked = np.array([True, True])
-        assert select_unmask(conf, masked, 0.9).tolist() == [1]
+        assert select_masked(conf, masked, 0.9).tolist() == [1]
 
     def test_no_masked_positions_rejected(self):
         with pytest.raises(ValueError):
-            select_unmask(np.array([0.5]), np.array([False]), 0.5)
+            select_masked(np.array([0.5]), np.array([False]), 0.5)
 
     @settings(max_examples=500, deadline=None)
     @given(st.data())
@@ -79,11 +88,11 @@ class TestSelectUnmask:
             if kind == "one":
                 masked[data.draw(st.integers(0, n - 1))] = True
         if not masked.any():
-            for select in (select_unmask, reference_select_unmask):
+            for select in (select_masked, reference_select_unmask):
                 with pytest.raises(ValueError):
                     select(conf, masked, tau)
             return
-        got, want = select_unmask(conf, masked, tau), reference_select_unmask(conf, masked, tau)
+        got, want = select_masked(conf, masked, tau), reference_select_unmask(conf, masked, tau)
         assert got.dtype == want.dtype == np.int64
         assert got.tolist() == want.tolist()
 
@@ -234,9 +243,9 @@ class TestDecode:
         target = np.array([0, 1, 2, 3])
         seen = []
 
-        def spy(state, ctx, rows):
+        def spy(state, ctx, rows, held_rows):
             seen.append(state.embedding_override is not None)
-            return noisy_oracle_logits(state, ctx, rows)
+            return noisy_oracle_logits(state, ctx, rows, held_rows)
 
         init = all_mask_init(v, 4)
         init.embedding_override = np.zeros((4, 2))
@@ -251,9 +260,9 @@ class TestDecode:
         target = np.array([0, 1, 2, 3])
         seen = []
 
-        def spy(state, ctx, rows):
+        def spy(state, ctx, rows, held_rows):
             seen.append(state.embedding_override is not None)
-            return noisy_oracle_logits(state, ctx, rows)
+            return noisy_oracle_logits(state, ctx, rows, held_rows)
 
         init = all_mask_init(v, 4)
         init.embedding_override = np.zeros((4, 2))
@@ -275,7 +284,9 @@ class TestDecode:
         def tied(state, ctx, rows):
             return next(script)[rows]
 
-        trace = decode(tied, None, all_mask_init(v, 3), DecodeConfig(tau=0.4), BASELINE, DeterministicRng(0))
+        trace = decode(
+            rows_denoiser(tied), None, all_mask_init(v, 3), DecodeConfig(tau=0.4), BASELINE, DeterministicRng(0)
+        )
         assert trace.nfe == 2
         assert trace.unmask_counts.tolist() == [2, 1]
         assert trace.unmask_pos.tolist() == [0, 1, 2]
@@ -293,7 +304,42 @@ class TestDecode:
             return pi
 
         with pytest.raises(ValueError, match="non-finite"):
-            decode(broken, None, all_mask_init(v, 4), DecodeConfig(tau=0.9), BASELINE, DeterministicRng(0))
+            decode(
+                rows_denoiser(broken), None, all_mask_init(v, 4), DecodeConfig(tau=0.9), BASELINE,
+                DeterministicRng(0),
+            )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["conf", "held"])
+    def test_non_finite_confidence_or_held_probability_raises(self, bad, where):
+        """decode checks what a denoiser returns, not only what the row
+        adapter reads."""
+        v = Vocabulary(3)
+
+        def broken(state, ctx, rows, held_rows):
+            conf, held = np.full(len(rows), 0.5), np.full(len(held_rows), 0.5)
+            {"conf": conf, "held": held}[where][-1:] = bad
+            return np.zeros(len(rows), dtype=np.int64), conf, held
+
+        init = DiffusionState(vocab=v, tokens=np.array([0, 3, 2, 3]), injected={0, 2})
+        dcfg = DecodeConfig(tau=0.9, remask_enabled=True)
+        with pytest.raises(ValueError, match="non-finite"):
+            decode(broken, None, init, dcfg, BASELINE, DeterministicRng(0))
+
+    def test_overflowing_embedding_bonus_raises(self):
+        """Entries of 1e200 overflow the dot products of the cosine, so the
+        oracle's bonus, and with it a masked position's confidence, is NaN."""
+        v = Vocabulary(4)
+        target = np.array([0, 1, 2, 3])
+        table = EmbeddingTable(rows=np.full((5, 3), 1e200))
+        init = all_mask_init(v, 4)
+        init.embedding_override = table.rows[target] * 0.5
+        wcfg = WarmStartConfig(method="embedding-interpolation")
+        with np.errstate(over="ignore", invalid="ignore"):
+            denoiser, ctx = prepare("noisy-oracle", target, NoisyOracleParams(eta=0.5), init, table)
+            assert np.isnan(ctx.bonus).all()
+            with pytest.raises(ValueError, match="non-finite"):
+                decode(denoiser, ctx, init, DecodeConfig(tau=0.9), wcfg, DeterministicRng(0))
 
     def test_full_injection_returns_immediately(self):
         v = Vocabulary(4)
@@ -327,7 +373,7 @@ class TestScriptedTraceEquivalence:
 
         ctx = None  # the scripted denoiser reads no context
         trace = decode(
-            scripted(script), ctx, all_mask_init(v, 3), DecodeConfig(tau=0.75), BASELINE,
+            rows_denoiser(scripted(script)), ctx, all_mask_init(v, 3), DecodeConfig(tau=0.75), BASELINE,
             DeterministicRng(0),
         )
         ref_tokens, ref_records = reference_decode(
@@ -366,9 +412,7 @@ class TestScriptedTraceEquivalence:
                         noisy_oracle_logits, ctx, init, DecodeConfig(tau=tau), BASELINE,
                         DeterministicRng(0),
                     )
-                    ref_tokens, ref_records = reference_decode(
-                        noisy_oracle_logits, ctx, init.tokens, v, tau=tau
-                    )
+                    ref_tokens, ref_records = reference_decode(oracle_rows, ctx, init.tokens, v, tau=tau)
                     assert trace.final_tokens.tolist() == ref_tokens
                     assert [
                         [(p, t) for p, t, _ in rec.unmasked] for rec in trace.iterations

@@ -5,7 +5,9 @@ import pytest
 
 from warmdiff.bigram import BigramModel
 from warmdiff.core import DeterministicRng, DiffusionState, EmbeddingTable, Vocabulary, all_mask_init
-from warmdiff.denoiser import NoisyOracleParams, markov_logits, noisy_oracle_logits, prepare
+from warmdiff.denoiser import NoisyOracleParams, noisy_oracle_logits, prepare
+
+from reference_rows import markov_rows, oracle_rows, out_bytes
 
 
 def oracle_ctx(target, state, **kw):
@@ -20,21 +22,28 @@ class TestContracts:
     def test_output_shape_is_n_by_v(self):
         v = Vocabulary(5)
         state = all_mask_init(v, 3)
-        out = noisy_oracle_logits(state, oracle_ctx([0, 1, 2], state))
-        assert out.shape == (3, 5)
+        ctx = oracle_ctx([0, 1, 2], state)
+        best, conf, held = noisy_oracle_logits(state, ctx)
+        assert best.shape == conf.shape == (3,) and held.shape == (0,)
+        assert best.dtype == np.int64 and conf.dtype == held.dtype == np.float64
+        assert oracle_rows(state, ctx).shape == (3, 5)
 
     def test_two_identical_calls_bit_identical(self):
         v = Vocabulary(4)
         state = DiffusionState(vocab=v, tokens=np.array([0, 4, 2]))
         ctx = oracle_ctx([0, 1, 2], state, mode="credulous")
-        a = noisy_oracle_logits(state, ctx)
-        b = noisy_oracle_logits(state, ctx)
-        assert a.tobytes() == b.tobytes()
+        a = noisy_oracle_logits(state, ctx, None, np.array([0, 2]))
+        b = noisy_oracle_logits(state, ctx, None, np.array([0, 2]))
+        assert out_bytes(a) == out_bytes(b)
 
     def test_fully_masked_state_still_yields_full_matrix(self):
         v = Vocabulary(3)
         state = all_mask_init(v, 4)
-        out = noisy_oracle_logits(state, oracle_ctx([0, 1, 2, 0], state))
+        ctx = oracle_ctx([0, 1, 2, 0], state)
+        best, conf, _ = noisy_oracle_logits(state, ctx)
+        assert best.shape == conf.shape == (4,)
+        assert np.isfinite(conf).all()
+        out = oracle_rows(state, ctx)
         assert out.shape == (4, 3)
         assert np.isfinite(out).all()
 
@@ -54,7 +63,7 @@ class TestNoisyOracle:
         v = Vocabulary(6)
         target = np.array([3, 1, 4, 1, 5])
         state = all_mask_init(v, 5)
-        pi = noisy_oracle_logits(state, oracle_ctx(target, state, c0=1.0, c_max=1.0))
+        pi = oracle_rows(state, oracle_ctx(target, state, c0=1.0, c_max=1.0))
         assert (pi.argmax(axis=1) == target).all()
         assert np.allclose(pi[np.arange(5), target], 1.0, atol=1e-9)
 
@@ -63,7 +72,7 @@ class TestNoisyOracle:
         v = Vocabulary(5)
         target = np.array([1, 2, 3, 0])
         state = all_mask_init(v, 4)
-        pi = noisy_oracle_logits(state, oracle_ctx(target, state, c0=0.4, gamma=0.6))
+        pi = oracle_rows(state, oracle_ctx(target, state, c0=0.4, gamma=0.6))
         for i in range(4):
             assert abs(pi[i, target[i]] - 0.4) < 1e-12
             others = np.delete(pi[i], target[i])
@@ -82,7 +91,8 @@ class TestNoisyOracle:
         ints = oracle_ctx(target, state, c0=0, gamma=1, c_max=1)
         assert floats.levels.tobytes() == scalars.levels.tobytes()
         assert ints.levels.tolist() == [r / 6 for r in range(7)]
-        assert noisy_oracle_logits(state, floats).tobytes() == noisy_oracle_logits(state, scalars).tobytes()
+        assert out_bytes(noisy_oracle_logits(state, floats)) == out_bytes(noisy_oracle_logits(state, scalars))
+        assert oracle_rows(state, floats).tobytes() == oracle_rows(state, scalars).tobytes()
 
     def test_confidence_grows_with_correct_reveals(self):
         v = Vocabulary(5)
@@ -92,7 +102,7 @@ class TestNoisyOracle:
         for revealed in range(4):
             tokens = np.full(4, v.mask_id)
             tokens[:revealed] = target[:revealed]
-            pi = noisy_oracle_logits(DiffusionState(vocab=v, tokens=tokens), ctx)
+            pi = oracle_rows(DiffusionState(vocab=v, tokens=tokens), ctx)
             confs.append(pi[3, target[3]])
         assert all(a <= b + 1e-12 for a, b in zip(confs, confs[1:]))
 
@@ -100,7 +110,7 @@ class TestNoisyOracle:
         v = Vocabulary(5)
         target = np.array([0, 1, 2, 3])
         wrong = DiffusionState(vocab=v, tokens=np.array([4, 4, 5, 5]))  # two wrong reveals
-        pi = noisy_oracle_logits(wrong, oracle_ctx(target, wrong, c0=0.3, gamma=0.5))
+        pi = oracle_rows(wrong, oracle_ctx(target, wrong, c0=0.3, gamma=0.5))
         assert abs(pi[2, target[2]] - 0.3) < 1e-12  # f counts correct reveals only
 
     def test_credulous_counts_any_reveal(self):
@@ -108,7 +118,7 @@ class TestNoisyOracle:
         target = np.array([0, 1, 2, 3])
         wrong = DiffusionState(vocab=v, tokens=np.array([4, 4, 5, 5]))
         ctx = oracle_ctx(target, wrong, c0=0.3, gamma=0.5, mode="credulous", window=1)
-        pi = noisy_oracle_logits(wrong, ctx)
+        pi = oracle_rows(wrong, ctx)
         assert abs(pi[2, target[2]] - (0.3 + 0.5 * 0.5)) < 1e-12
 
     def test_credulous_majority_flips_to_distractor(self):
@@ -117,7 +127,7 @@ class TestNoisyOracle:
         v = Vocabulary(5)
         target = np.array([0, 1, 2, 3, 4])
         state = DiffusionState(vocab=v, tokens=np.array([5, 2, 3, 4, 5]))
-        pi = noisy_oracle_logits(state, oracle_ctx(target, state, mode="credulous", window=3))
+        pi = oracle_rows(state, oracle_ctx(target, state, mode="credulous", window=3))
         assert pi[2].argmax() == (target[2] + 1) % 5
 
     def test_credulous_tie_keeps_target(self):
@@ -126,21 +136,21 @@ class TestNoisyOracle:
         target = np.array([0, 1, 2, 3, 4])
         # pos0 correct, pos2 wrong, pos1 masked between
         state = DiffusionState(vocab=v, tokens=np.array([0, 5, 3, 5, 5]))
-        pi = noisy_oracle_logits(state, oracle_ctx(target, state, mode="credulous", window=3))
+        pi = oracle_rows(state, oracle_ctx(target, state, mode="credulous", window=3))
         assert pi[1].argmax() == target[1]
 
     def test_credulous_no_reveals_keeps_target(self):
         v = Vocabulary(4)
         target = np.array([0, 1, 2])
         state = all_mask_init(v, 3)
-        pi = noisy_oracle_logits(state, oracle_ctx(target, state, mode="credulous", window=3, c0=0.5))
+        pi = oracle_rows(state, oracle_ctx(target, state, mode="credulous", window=3, c0=0.5))
         assert (pi.argmax(axis=1) == target).all()
 
     def test_rows_are_distributions(self):
         v = Vocabulary(7)
         target = np.array([0, 1, 2, 3, 4, 5])
         state = DiffusionState(vocab=v, tokens=np.array([0, 7, 2, 7, 1, 7]))
-        pi = noisy_oracle_logits(state, oracle_ctx(target, state, c0=0.2, gamma=0.9, mode="credulous"))
+        pi = oracle_rows(state, oracle_ctx(target, state, c0=0.2, gamma=0.9, mode="credulous"))
         assert np.allclose(pi.sum(axis=1), 1.0, atol=1e-12)
 
 
@@ -159,8 +169,8 @@ class TestEmbeddingBonus:
 
     def probs(self, state, table=None, **kw):
         table = self.table if table is None else table
-        denoiser, ctx = prepare("noisy-oracle", self.target, NoisyOracleParams(**kw), state, table)
-        return denoiser(state, ctx)
+        _, ctx = prepare("noisy-oracle", self.target, NoisyOracleParams(**kw), state, table)
+        return oracle_rows(state, ctx)
 
     def test_alpha_zero_is_exactly_neutral(self):
         with_override = self.probs(self.state_with_override(0.0), c0=0.4, eta=0.8)
@@ -191,6 +201,8 @@ class TestEmbeddingBonus:
         state.embedding_override = np.zeros((4, 3))
         out = self.probs(state, table, eta=0.9)
         assert np.isfinite(out).all()
+        denoiser, ctx = prepare("noisy-oracle", self.target, NoisyOracleParams(eta=0.9), state, table)
+        assert np.isfinite(denoiser(state, ctx)[1]).all()
 
 
 class TestParamValidation:
@@ -221,7 +233,7 @@ class TestMarkovLogits:
         model = BigramModel.fit([[0, 2, 1, 1, 0]], 3)
         v = Vocabulary(3)
         state = all_mask_init(v, 3)
-        out = markov_logits(state, markov_ctx([0, 1, 2], state, model))
+        out = markov_rows(state, markov_ctx([0, 1, 2], state, model))
         expected = model.unigram()
         for i in range(3):
             assert np.allclose(out[i], expected, atol=1e-12)
@@ -230,7 +242,7 @@ class TestMarkovLogits:
         model = BigramModel.fit([[0, 1, 0, 1, 0, 1, 0, 1]], 2)
         v = Vocabulary(2)
         state = DiffusionState(vocab=v, tokens=np.array([0, 2, 2]))
-        out = markov_logits(state, markov_ctx([0, 1, 0], state, model))
+        out = markov_rows(state, markov_ctx([0, 1, 0], state, model))
         assert out[1].argmax() == 1
 
     def test_mixture_matches_hand_computed_row(self):
@@ -238,7 +250,7 @@ class TestMarkovLogits:
         model = BigramModel.fit(seqs, 3)
         v = Vocabulary(3)
         state = DiffusionState(vocab=v, tokens=np.array([0, 3, 2]))  # left reveal 0, right reveal 2
-        out = markov_logits(state, markov_ctx([0, 1, 2], state, model))
+        out = markov_rows(state, markov_ctx([0, 1, 2], state, model))
 
         pairs = Counter(zip(seqs[0], seqs[0][1:]))
         fwd = np.array([pairs[(0, b)] + 1 for b in range(3)], float)
@@ -257,14 +269,14 @@ class TestMarkovLogits:
         model = BigramModel(3, counts, token_counts=np.full(3, 30.0))
         v = Vocabulary(3)
         state = DiffusionState(vocab=v, tokens=np.array([1, 3, 3]))
-        out = markov_logits(state, markov_ctx([0, 1, 2], state, model))
+        out = markov_rows(state, markov_ctx([0, 1, 2], state, model))
         assert np.allclose(out, 1.0 / 3.0, atol=1e-9)
 
     def test_rows_are_distributions(self):
         model = BigramModel.fit([[0, 1, 3, 2, 0, 1]], 4)
         v = Vocabulary(4)
         state = DiffusionState(vocab=v, tokens=np.array([4, 1, 4, 2, 4]))
-        out = markov_logits(state, markov_ctx([0, 1, 2, 3, 0], state, model))
+        out = markov_rows(state, markov_ctx([0, 1, 2, 3, 0], state, model))
         assert (out > 0).all()
         assert np.allclose(out.sum(axis=1), 1.0, atol=1e-12)
 

@@ -4,11 +4,14 @@ The reference functions below are the straightforward form of both
 denoisers: the oracle's confidence from exact fractions and its embedding
 bonus recomputed per masked position on every call, and the bigram mixture
 read row by row from the smoothing formulas with left/right scans in
-Python. `prepare` + the library denoisers must give the same probability
-bytes on every input, for all rows and for any subset of them. The markov
-proposer must draw what a per-row inverse-CDF sampler draws.
+Python. `prepare` + the library denoisers must give the bytes that
+`rows_denoiser` reads from these rows (argmax, confidence and held-token
+probability) on every input, for all rows and for any subset of them, with
+any revealed positions held. The markov proposer must draw what a per-row
+inverse-CDF sampler draws.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -18,10 +21,12 @@ from hypothesis import strategies as st
 
 from warmdiff.bigram import BigramModel
 from warmdiff.core import DeterministicRng, DiffusionState, EmbeddingTable, Vocabulary, all_mask_init
-from warmdiff.decoder import DecodeConfig, decode
+from warmdiff.decoder import DecodeConfig, decode, rows_denoiser
 from warmdiff.denoiser import DenoiseContext, NoisyOracleParams, markov_logits, noisy_oracle_logits, prepare
 from warmdiff.proposal import propose_markov
 from warmdiff.warmstart import WarmStartConfig, inject_tokens, interpolate_embeddings
+
+from reference_rows import markov_rows, oracle_rows, out_bytes, reference_rows
 
 
 def ref_cosine(u, v):
@@ -83,6 +88,12 @@ def reference_markov(state, model):
     return rows
 
 
+def via_rows(rows_of):
+    """The denoiser that reads the full matrix `rows_of(state)` through
+    `rows_denoiser`."""
+    return rows_denoiser(lambda state, ctx, rows: rows_of(state)[rows])
+
+
 unit = st.floats(-1.0, 1.0, allow_nan=False, width=64)
 
 
@@ -112,6 +123,14 @@ def problems(draw):
 def row_subsets(n):
     """Ascending int64 positions, as decode passes them; possibly empty."""
     return st.sets(st.integers(0, n - 1)).map(lambda rows: np.array(sorted(rows), dtype=np.int64))
+
+
+def held_subsets(state):
+    """Ascending revealed positions, as decode holds them; possibly empty."""
+    revealed = (state.tokens != state.vocab.mask_id).nonzero()[0].tolist()
+    return st.sets(st.sampled_from(revealed) if revealed else st.nothing()).map(
+        lambda rows: np.array(sorted(rows), dtype=np.int64)
+    )
 
 
 @st.composite
@@ -147,10 +166,14 @@ def test_oracle_matches_per_position_loop(problem, params, data):
     state, target, table = problem
     denoiser, ctx = prepare("noisy-oracle", target, params, state, table)
     assert denoiser is noisy_oracle_logits
-    expected = reference_oracle(state, target, params, table)
-    assert denoiser(state, ctx).tobytes() == expected.tobytes()
+    full = reference_oracle(state, target, params, table)
+    expected = via_rows(lambda s: reference_oracle(s, target, params, table))
+    held = data.draw(held_subsets(state))
+    assert out_bytes(denoiser(state, ctx, None, held)) == out_bytes(expected(state, ctx, None, held))
+    assert oracle_rows(state, ctx).tobytes() == full.tobytes()
     rows = data.draw(row_subsets(len(target)))
-    assert denoiser(state, ctx, rows).tobytes() == expected[rows].tobytes()
+    assert out_bytes(denoiser(state, ctx, rows, held)) == out_bytes(expected(state, ctx, rows, held))
+    assert oracle_rows(state, ctx, rows).tobytes() == full[rows].tobytes()
 
 
 def reference_bonus(override, target, eta, table):
@@ -205,9 +228,11 @@ def test_oracle_matches_loop_through_decode(problem, params, persistence):
     _, ctx = prepare("noisy-oracle", target, params, init, table)
     seen = []
 
-    def checked(state, ctx, rows):
-        out = noisy_oracle_logits(state, ctx, rows)
-        assert out.tobytes() == reference_oracle(state, target, params, table)[rows].tobytes()
+    expected = via_rows(lambda s: reference_oracle(s, target, params, table))
+
+    def checked(state, ctx, rows, held_rows):
+        out = noisy_oracle_logits(state, ctx, rows, held_rows)
+        assert out_bytes(out) == out_bytes(expected(state, ctx, rows, held_rows))
         seen.append(state.embedding_override is not None)
         return out
 
@@ -228,10 +253,14 @@ def test_markov_matches_per_position_loop(data):
     model = data.draw(bigram_models(state.vocab.size))
     denoiser, ctx = prepare("markov", target, model, state)
     assert denoiser is markov_logits
-    expected = reference_markov(state, model)
-    assert denoiser(state, ctx).tobytes() == expected.tobytes()
+    full = reference_markov(state, model)
+    expected = via_rows(lambda s: reference_markov(s, model))
+    held = data.draw(held_subsets(state))
+    assert out_bytes(denoiser(state, ctx, None, held)) == out_bytes(expected(state, ctx, None, held))
+    assert markov_rows(state, ctx).tobytes() == full.tobytes()
     rows = data.draw(row_subsets(len(target)))
-    assert denoiser(state, ctx, rows).tobytes() == expected[rows].tobytes()
+    assert out_bytes(denoiser(state, ctx, rows, held)) == out_bytes(expected(state, ctx, rows, held))
+    assert markov_rows(state, ctx, rows).tobytes() == full[rows].tobytes()
 
 
 @pytest.mark.parametrize("tokens", [[3, 3, 3, 3], [0, 3, 3, 3], [3, 3, 3, 2], [1, 3, 3, 0], [2]])
@@ -239,14 +268,16 @@ def test_markov_with_no_reveal_on_a_side(tokens):
     model = BigramModel(3, np.arange(9, dtype=float).reshape(3, 3) / 7.0)
     state = DiffusionState(vocab=Vocabulary(3), tokens=np.array(tokens))
     _, ctx = prepare("markov", [0] * len(tokens), model, state)
-    assert markov_logits(state, ctx).tobytes() == reference_markov(state, model).tobytes()
+    held = (state.tokens != 3).nonzero()[0]
+    expected = via_rows(lambda s: reference_markov(s, model))
+    assert out_bytes(markov_logits(state, ctx, None, held)) == out_bytes(expected(state, ctx, None, held))
+    assert markov_rows(state, ctx).tobytes() == reference_markov(state, model).tobytes()
 
 
 def decode_rows(tokens, injected, mask_id):
-    """The rows decode asks for: masked plus still-injected, ascending."""
-    live = tokens == mask_id
-    live[sorted(injected)] = True
-    return live.nonzero()[0]
+    """What decode asks for: the masked positions, and the still-injected
+    ones held, each ascending."""
+    return (tokens == mask_id).nonzero()[0], np.array(sorted(injected), dtype=np.int64)
 
 
 def model_at_scale(V, seed):
@@ -279,18 +310,19 @@ def test_markov_matches_per_position_loop_on_edge_states(n, V):
     for tokens, injected in edge_states(n, V):
         state = DiffusionState(vocab=Vocabulary(V), tokens=tokens.copy(), injected=injected)
         _, ctx = prepare("markov", [0] * n, model, state)
-        expected = reference_markov(state, model)
-        rows = decode_rows(state.tokens, injected, V)
-        assert markov_logits(state, ctx, rows).tobytes() == expected[rows].tobytes()
-        assert markov_logits(state, ctx).tobytes() == expected.tobytes()
+        expected = via_rows(lambda s: reference_markov(s, model))
+        rows, held = decode_rows(state.tokens, injected, V)
+        assert out_bytes(markov_logits(state, ctx, rows, held)) == out_bytes(expected(state, ctx, rows, held))
+        assert out_bytes(markov_logits(state, ctx)) == out_bytes(expected(state, ctx))
+        assert markov_rows(state, ctx).tobytes() == reference_markov(state, model).tobytes()
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([(3, 3), (8, 5), (64, 64)]), st.floats(0.0, 1.0), st.integers(0, 2**32))
 def test_markov_matches_per_position_loop_through_decode(shape, rho, seed):
     """Every call of a whole decode at decode scale, with token injection
-    and remasking, so each call's rows are the masked plus the still-injected
-    positions."""
+    and remasking, so each call's rows are the masked positions and its held
+    rows the still-injected ones."""
     n, V = shape
     model = model_at_scale(V, seed)
     vocab = Vocabulary(V)
@@ -298,17 +330,74 @@ def test_markov_matches_per_position_loop_through_decode(shape, rho, seed):
     init = inject_tokens(vocab, target, rho, DeterministicRng(seed + 1))
     _, ctx = prepare("markov", target, model, init)
     calls = []
+    expected = via_rows(lambda s: reference_markov(s, model))
 
-    def checked(state, ctx, rows):
-        assert rows.tolist() == decode_rows(state.tokens, state.injected, V).tolist()
-        out = markov_logits(state, ctx, rows)
-        assert out.tobytes() == reference_markov(state, model)[rows].tobytes()
+    def checked(state, ctx, rows, held_rows):
+        want_rows, want_held = decode_rows(state.tokens, state.injected, V)
+        assert rows.tolist() == want_rows.tolist() and held_rows.tolist() == want_held.tolist()
+        out = markov_logits(state, ctx, rows, held_rows)
+        assert out_bytes(out) == out_bytes(expected(state, ctx, rows, held_rows))
         calls.append(len(rows))
         return out
 
     dcfg = DecodeConfig(tau=0.5, remask_enabled=True, b0=0.3, lam=0.05)
     trace = decode(checked, ctx, init, dcfg, WarmStartConfig(method="token-injection"), DeterministicRng(seed + 2))
     assert len(calls) == trace.nfe
+
+
+@st.composite
+def reference_cases(draw):
+    """(kind, denoiser, ctx, state, rows, held rows) over `problems`. Oracle
+    levels are drawn or pinned to 1/V or one ulp either side of it, so rows
+    with hi == lo and hi < lo come up, with and without the bonus; states
+    may reveal nothing or one position, so markov rows may lack either
+    neighbour."""
+    state, target, table = draw(problems())
+    V, n = state.vocab.size, len(target)
+    reveal = draw(st.sampled_from(["drawn", "none", "one"]))
+    if reveal != "drawn":
+        state.tokens[:] = V
+        if reveal == "one":
+            state.tokens[draw(st.integers(0, n - 1))] = draw(st.integers(0, V - 1))
+    if draw(st.booleans()):
+        kind, params = "markov", draw(bigram_models(V))
+    else:
+        kind, params = "noisy-oracle", draw(oracle_params())
+        uniform = 1.0 / V
+        pinned = draw(st.sampled_from([None, uniform, *(float(np.nextafter(uniform, x)) for x in (0.0, 1.0))]))
+        if pinned is not None:
+            params = replace(params, c0=pinned, c_max=pinned)
+    denoiser, ctx = prepare(kind, target, params, state, table)
+    return kind, denoiser, ctx, state, draw(st.none() | row_subsets(n)), draw(held_subsets(state))
+
+
+@settings(max_examples=500, deadline=None)
+@given(reference_cases())
+def test_denoisers_match_their_reference_rows(case):
+    """Each library denoiser gives, bit for bit, what `rows_denoiser` reads
+    from the rows it built before it returned (best, conf, held)."""
+    kind, denoiser, ctx, state, rows, held = case
+    expected = rows_denoiser(reference_rows(kind))
+    assert out_bytes(denoiser(state, ctx, rows, held)) == out_bytes(expected(state, ctx, rows, held))
+
+
+@pytest.mark.parametrize("level,best", [(0.25, [0, 0, 0, 0]), (0.2, [1, 0, 0, 0]), (0.5, [0, 1, 2, 3])])
+@pytest.mark.parametrize("mode", ["faithful", "credulous"])
+def test_oracle_at_and_around_the_uniform_level(level, best, mode):
+    """V = 4: a confidence of 0.25 gives four equal entries, whose argmax is
+    token 0; below it the argmax is the lowest token other than the intended
+    one, above it the intended token."""
+    state = DiffusionState(vocab=Vocabulary(4), tokens=np.array([4, 4, 4, 4]))
+    params = NoisyOracleParams(c0=level, gamma=0.0, c_max=level, mode=mode)
+    denoiser, ctx = prepare("noisy-oracle", [0, 1, 2, 3], params, state)
+    pi = oracle_rows(state, ctx)
+    assert (pi == pi[0, 0]).all() == (level == 0.25)
+    got = denoiser(state, ctx)
+    assert got[0].tolist() == best == pi.argmax(axis=1).tolist()
+    assert out_bytes(got) == out_bytes(rows_denoiser(oracle_rows)(state, ctx))
+    held = np.array([0, 2])
+    state.tokens[held] = [0, 1]  # one holds its intended token, one does not
+    assert out_bytes(denoiser(state, ctx, None, held)) == out_bytes(rows_denoiser(oracle_rows)(state, ctx, None, held))
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,8 +1,9 @@
-"""Live-row decoding gives the bytes of full-matrix decoding.
+"""Decoding on what the denoisers return gives the bytes of full-matrix decoding.
 
 `full_matrix_decode` is the decode loop as it was before `decode` asked the
 denoiser for the live rows only: every call builds the whole n x V
-probability matrix and reads confidences from it. Over faithful and credulous
+probability matrix with the reference rows of `reference_rows.py` and reads
+confidences from it. Over faithful and credulous
 oracles, embedding overrides with both persistence modes, the markov
 denoiser, remasking on and off, and thresholds equal to confidences the
 loop actually emits, `decode` must produce the same trace bytes and tokens.
@@ -31,10 +32,11 @@ from warmdiff.denoiser import NoisyOracleParams, prepare
 from warmdiff.harness import trace_lines
 from warmdiff.warmstart import METHODS, PERSISTENCE_MODES, WarmStartConfig, warm_init
 
+from reference_rows import reference_rows
 from reference_trace import RecordTrace, columnar, reference_trace_lines
 
 
-def full_matrix_decode(denoiser, ctx, init, dcfg, wcfg, rng):
+def full_matrix_decode(rows_fn, ctx, init, dcfg, wcfg, rng):
     state = init.copy()
     records = []
     k = 0
@@ -44,7 +46,7 @@ def full_matrix_decode(denoiser, ctx, init, dcfg, wcfg, rng):
         if wcfg.override_persistence == "first-iteration" and k > 1:
             state.embedding_override = None
 
-        pi = denoiser(state, ctx, None)
+        pi = rows_fn(state, ctx, None)
         conf = pi.max(axis=1)
         fixed = np.flatnonzero(~masked)
         conf[fixed] = pi[fixed, state.tokens[fixed]]
@@ -101,13 +103,14 @@ def runs(draw):
             window=draw(st.sampled_from([1, 3, 5])),
         )
     denoiser, ctx = prepare(kind, target, params, init, table)
+    rows_fn = reference_rows(kind)
     knobs = dict(
         remask_enabled=draw(st.booleans()),
         b0=draw(st.sampled_from([0.01, 0.3, 1.0])),
         lam=draw(st.sampled_from([0.002, 0.05])),
         k_max=draw(st.sampled_from([1, 2, 4096])),
     )
-    return denoiser, ctx, init, wcfg, rng, knobs
+    return denoiser, rows_fn, ctx, init, wcfg, rng, knobs
 
 
 def trace_bytes(write, trace, header=None):
@@ -118,15 +121,15 @@ def trace_bytes(write, trace, header=None):
 @settings(max_examples=400, deadline=None)
 @given(runs(), st.data())
 def test_live_rows_match_the_full_matrix(run, data):
-    denoiser, ctx, init, wcfg, rng, knobs = run
+    denoiser, rows_fn, ctx, init, wcfg, rng, knobs = run
     first = DecodeConfig(tau=data.draw(st.floats(0.05, 1.0)), **knobs)
-    probe = full_matrix_decode(denoiser, ctx, init, first, wcfg, rng)
+    probe = full_matrix_decode(rows_fn, ctx, init, first, wcfg, rng)
     # A threshold equal to an emitted confidence puts positions exactly on the
     # strict > tau boundary.
     emitted = [c for rec in probe.iterations for _, _, c in rec.unmasked]
     for tau in {first.tau, data.draw(st.sampled_from(emitted)) if emitted else first.tau}:
         dcfg = DecodeConfig(tau=tau, **knobs)
-        want = full_matrix_decode(denoiser, ctx, init, dcfg, wcfg, rng)
+        want = full_matrix_decode(rows_fn, ctx, init, dcfg, wcfg, rng)
         got = decode(denoiser, ctx, init, dcfg, wcfg, rng)
         assert trace_bytes(trace_lines, got) == trace_bytes(reference_trace_lines, want)
         assert got.final_tokens.tobytes() == want.final_tokens.tobytes()
@@ -136,7 +139,7 @@ def test_live_rows_match_the_full_matrix(run, data):
 @settings(max_examples=300, deadline=None)
 @given(runs(), st.floats(0.05, 1.0))
 def test_trace_lines_match_the_reference_writer(run, tau):
-    denoiser, ctx, init, wcfg, rng, knobs = run
+    denoiser, _, ctx, init, wcfg, rng, knobs = run
     got = decode(denoiser, ctx, init, DecodeConfig(tau=tau, **knobs), wcfg, rng)
     header = {"config": {"decode.tau": tau}, "run": 3, "seed": 2**64 - 1}
     assert trace_bytes(trace_lines, got, header) == trace_bytes(reference_trace_lines, got, header)

@@ -49,7 +49,8 @@ def test_select_unmask_respects_threshold_or_forces_one(conf, tau, data):
     masked = np.array(data.draw(st.lists(st.booleans(), min_size=len(conf), max_size=len(conf))))
     if not masked.any():
         masked[0] = True
-    chosen = select_unmask(conf, masked, tau)
+    rows = masked.nonzero()[0]
+    chosen = rows[select_unmask(conf[rows], tau)]
     assert masked[chosen].all()
     above = np.flatnonzero(masked & (conf > tau))
     if above.size:
