@@ -1,6 +1,7 @@
-"""Pinned output bytes for three small configs shaped like the benchmark's
-workloads: token injection with remasking, embedding interpolation, and a
-markov sweep. A change meant to keep results byte-identical must keep these
+"""Pinned output bytes for small configs shaped like the benchmark's
+workloads: token injection with remasking, embedding interpolation (also in
+credulous mode, and with the override kept for the first iteration only),
+and a markov sweep. A change meant to keep results byte-identical must keep these
 digests; a change that moves seeded results re-pins them and says so.
 """
 
@@ -46,6 +47,22 @@ EMBED = {
     "proposer.epsilon": 0.1,
     "decode.tau": 0.9,
 }
+
+# Credulous mode with a bonus large enough that hi + bonus falls below 0 and
+# rises above c_max at masked rows, and with flipped intents at masked rows.
+EMBED_CREDULOUS = {
+    **EMBED,
+    "vocab_size": 4,
+    "num_runs": 8,
+    "seed": 47,
+    "denoiser.mode": "credulous",
+    "denoiser.c0": 0.1,
+    "denoiser.eta": 3.0,
+    "proposer.epsilon": 0.3,
+}
+
+# The bonus applies on the first NFE only.
+EMBED_FIRST_ITERATION = {**EMBED, "seed": 45, "warmstart.override_persistence": "first-iteration"}
 
 MARKOV_SWEEP = {
     "n": 16,
@@ -105,12 +122,22 @@ def output_digests(grid):
             "f07c05294ba05eb08580cba7f17d5538a354c83eb38a9d30f9d641fb0411247d",
         ),
         (
+            EMBED_CREDULOUS,
+            "7a5adb3e0d92c97a16b33a2dc8ed7bb24eb4e540fb37a84954420fe30c7e775b",
+            "c98c8407c287cedd3879eb50ea4ada224949ab62f29d71e7761ee216494d3a8a",
+        ),
+        (
+            EMBED_FIRST_ITERATION,
+            "4c26c9fb16f75d76a977e0bba65c95183ac0139c5b13282994637beba8dab036",
+            "819773de0cf3765d5bf46738f86bae4adf87ea14a28baceeebacd9136bad7077",
+        ),
+        (
             MARKOV_SWEEP,
             "4d32d91c7d218d32081aaba4276a735206a49e5f2a032e6bb72ac2f9467c81ba",
             "b1687b164ba42a1e3837d2a454aba4e48158bf42eed70e39f4242eb2bda2dc55",
         ),
     ],
-    ids=["inject-remask", "embed", "markov-sweep"],
+    ids=["inject-remask", "embed", "embed-credulous", "embed-first-iteration", "markov-sweep"],
 )
 def test_output_bytes_are_pinned(grid, csv_digest, trace_digest, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
