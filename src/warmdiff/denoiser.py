@@ -13,7 +13,12 @@ positions were asked for. Quantities that depend on the whole sequence (the
 revealed count, credulous flips) are computed over all n positions first,
 nearest revealed neighbours by binary search over the revealed positions.
 `prepare` checks a run's inputs once and builds its context, precomputing
-what stays constant over the run. `decoder.rows_denoiser` turns a callable
+what stays constant over the run: for the oracle with an embedding bonus,
+its whole output at masked rows, tabulated by (revealed count, position)
+from the same float operations a call would run, so a call gathers two
+entries per row instead of recomputing them. The tables have (n + 1) * n
+entries each and are built only within a fixed budget; above it the oracle
+runs those operations per call. `decoder.rows_denoiser` turns a callable
 that returns probability rows into a denoiser.
 
 The two denoisers keep the names `noisy_oracle_logits` and `markov_logits`,
@@ -42,6 +47,10 @@ __all__ = [
 ]
 
 _MODES = ("faithful", "credulous")
+# The most entries, (n + 1) * n, of each per-run bonus table that `prepare`
+# builds. Above it a table would cost more to build than the calls it saves,
+# and the oracle computes the bonus rows per call instead.
+_BONUS_TABLE_ENTRIES = 2**16
 _NO_HELD = np.empty(0, dtype=np.float64)
 _NO_HELD.flags.writeable = False
 
@@ -50,15 +59,23 @@ _NO_HELD.flags.writeable = False
 class DenoiseContext:
     """Planted ground-truth target (the prompt-determined answer) plus the
     model-specific parameters: NoisyOracleParams or a BigramModel. The oracle
-    reads two tables that `prepare` sets: `levels[r]`, its confidence when r
-    revealed positions count as context, and `bonus`, its per-position
-    embedding bonus where that applies.
+    reads tables that `prepare` sets: `levels[r]`, its confidence when r
+    revealed positions count as context; `bonus`, its per-position embedding
+    bonus where that applies; and, where the bonus applies and (n + 1) * n
+    is within `_BONUS_TABLE_ENTRIES`, its output at a masked position p
+    when r positions count: `bonus_conf[r, p]`, and `bonus_best[0, r, p]`
+    for the target token intended, `bonus_best[1, r, p]` (credulous mode
+    only) for the flipped one. Each entry is computed by the same
+    elementwise float operations as a call without the tables, so reading
+    it is exact.
     """
 
     target: np.ndarray
     params: object
     levels: np.ndarray | None = None
     bonus: np.ndarray | None = None
+    bonus_best: np.ndarray | None = None
+    bonus_conf: np.ndarray | None = None
 
     def __post_init__(self):
         target = np.asarray(self.target, dtype=np.int64)
@@ -166,9 +183,40 @@ def prepare(kind: str, target, params, init: DiffusionState, table: EmbeddingTab
             ]
         )
     levels = _levels(params.c0, params.gamma, params.c_max, len(ctx.target))
-    return noisy_oracle_logits, DenoiseContext(target=ctx.target, params=params, levels=levels, bonus=bonus)
+    tables = {}
+    if bonus is not None and _tabulates(len(ctx.target)):
+        # Every (revealed count, position) entry of the masked rows' output,
+        # from the same elementwise operations as a call above the budget.
+        V = init.vocab.size
+        intents = [ctx.target] if params.mode == "faithful" else [ctx.target, (ctx.target + 1) % V]
+        out = [_bonus_rows(levels[:, None], bonus, intended, V, params.c_max) for intended in intents]
+        tables = {"bonus_best": np.stack([best for best, _ in out]), "bonus_conf": out[0][1]}
+    ctx = DenoiseContext(target=ctx.target, params=params, levels=levels, bonus=bonus, **tables)
+    return noisy_oracle_logits, ctx
 
 
+def _tabulates(n: int) -> bool:
+    """Whether `prepare` tabulates the bonus for a sequence of n positions."""
+    return (n + 1) * n <= _BONUS_TABLE_ENTRIES
+
+
+def _bonus_rows(hi, bonus, intended, V: int, c_max: float):
+    """(best, conf) of masked rows whose confidence hi earns `bonus`: hi +
+    bonus clipped into [0, c_max] at the intended token, (1 - that) / (V - 1)
+    at each of the other V - 1."""
+    his = np.clip(hi + bonus, 0.0, c_max)
+    los = (1.0 - his) / (V - 1)
+    return np.where(his > los, intended, (his < los) & (intended == 0)), np.maximum(his, los)
+
+
+def _uniform_best(hi: float, lo: float, intended: np.ndarray) -> np.ndarray:
+    """The argmax of rows that all hold hi at the intended token and lo at
+    the other V - 1: one branch, not three elementwise ones."""
+    if hi > lo:
+        return intended
+    if hi < lo:
+        return (intended == 0).astype(np.int64)
+    return np.zeros(len(intended), dtype=np.int64)
 
 
 def noisy_oracle_logits(state: DiffusionState, ctx: DenoiseContext, rows=None, held_rows=None):
@@ -183,8 +231,14 @@ def noisy_oracle_logits(state: DiffusionState, ctx: DenoiseContext, rows=None, h
     context's bonus, clipped into [0, c_max]. A row holds hi at its intended
     token and lo = (1 - hi) / (V - 1) at each of the other V - 1, so its
     argmax is the intended token if hi > lo, token 0 if hi == lo and else
-    the lowest other id, and its maximum is max(hi, lo). A held position
-    is never masked, so it carries no bonus.
+    the lowest other id, and its maximum is max(hi, lo).
+
+    With the bonus, r and the position fix every masked row's (best, conf),
+    so the rows are read from the context's `bonus_best`/`bonus_conf`
+    tables at r (with credulous flips choosing the flipped-target `best`),
+    or computed per call for a sequence above the table budget. A revealed
+    row (decode asks for none; other callers may) and a held position are
+    never masked, so they carry no bonus and get the plain hi and lo.
     """
     params: NoisyOracleParams = ctx.params
     if ctx.levels is None:
@@ -193,6 +247,7 @@ def noisy_oracle_logits(state: DiffusionState, ctx: DenoiseContext, rows=None, h
     if rows is None:
         rows = np.arange(len(tokens))
 
+    flip = None
     if params.mode == "faithful":
         # `prepare` keeps target ids below the mask id, so a position that
         # holds its target token is a correct reveal.
@@ -203,27 +258,28 @@ def noisy_oracle_logits(state: DiffusionState, ctx: DenoiseContext, rows=None, h
         wrong = (revealed & (tokens != target)).astype(np.float64)
         revealed_in_window = _window_sums(revealed.astype(np.float64), params.window)
         wrong_in_window = _window_sums(wrong, params.window)
-        target = np.where(2.0 * wrong_in_window > revealed_in_window, (target + 1) % V, target)
-    intended = target[rows]
+        flip = 2.0 * wrong_in_window > revealed_in_window
+        target = np.where(flip, (target + 1) % V, target)
     hi = ctx.levels.item(r)
     lo = (1.0 - hi) / (V - 1)
 
     if state.embedding_override is not None and params.eta > 0.0:
-        if ctx.bonus is None:
-            raise ValueError("context has no embedding bonus; build it with prepare from the overridden state")
-        his = np.where(tokens[rows] == mask_id, np.clip(hi + ctx.bonus[rows], 0.0, params.c_max), hi)
-        los = (1.0 - his) / (V - 1)
-        best = np.where(his > los, intended, (his < los) & (intended == 0))
-        conf = np.maximum(his, los)
-    else:
-        # One hi for every row: one branch, not three elementwise ones.
-        if hi > lo:
-            best = intended
-        elif hi < lo:
-            best = (intended == 0).astype(np.int64)
+        if ctx.bonus_conf is not None:
+            best, conf = ctx.bonus_best[0, r][rows], ctx.bonus_conf[r][rows]
+            if flip is not None:
+                best = np.where(flip[rows], ctx.bonus_best[1, r][rows], best)
+        elif ctx.bonus is not None and not _tabulates(len(tokens)):
+            best, conf = _bonus_rows(hi, ctx.bonus[rows], target[rows], V, params.c_max)
         else:
-            best = np.zeros(len(rows), dtype=np.int64)
-        conf = np.full(len(rows), max(hi, lo))
+            raise ValueError("context has no embedding bonus; build it with prepare from the overridden state")
+        # Both forms give every requested row the bonus; a revealed row
+        # earns none.
+        revealed_rows = tokens[rows] != mask_id
+        if np.count_nonzero(revealed_rows):
+            best[revealed_rows] = _uniform_best(hi, lo, target[rows[revealed_rows]])
+            conf[revealed_rows] = max(hi, lo)
+    else:
+        best, conf = _uniform_best(hi, lo, target[rows]), np.full(len(rows), max(hi, lo))
 
     held = _NO_HELD
     if held_rows is not None and len(held_rows):

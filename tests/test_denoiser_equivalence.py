@@ -13,12 +13,14 @@ inverse-CDF sampler draws.
 
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import warmdiff.denoiser
 from warmdiff.bigram import BigramModel
 from warmdiff.core import DeterministicRng, DiffusionState, EmbeddingTable, Vocabulary, all_mask_init
 from warmdiff.decoder import DecodeConfig, decode, rows_denoiser
@@ -244,6 +246,103 @@ def test_oracle_matches_loop_through_decode(problem, params, persistence):
         assert seen[0] and not any(seen[1:])
     else:
         assert all(seen)
+
+
+@settings(max_examples=100, deadline=None)
+@given(problems(), oracle_params(), st.data())
+def test_bonus_tables_match_the_reference_rows_at_every_revealed_count(problem, params, data):
+    """The oracle with a bonus against the reference rows, with its tables
+    (a budget of exactly (n + 1) * n entries) and without them (one entry
+    fewer). Positions are revealed one at a time in a drawn order, first with
+    their target tokens, so r takes every value in 0..n in both modes, then
+    with drawn tokens, so credulous intents flip. Each state is asked for
+    all rows, its masked rows (as decode asks) and a drawn row set that may
+    hold revealed positions, with drawn held rows. eta up to 50 drives
+    hi + bonus below 0 and above c_max."""
+    state, target, table = problem
+    n, V, mask_id = len(target), state.vocab.size, state.vocab.mask_id
+    params = replace(params, eta=data.draw(st.sampled_from([0.5, 50.0]) | st.floats(0.0, 50.0, exclude_min=True)))
+    budget = data.draw(st.sampled_from([(n + 1) * n, (n + 1) * n - 1]))
+    order = data.draw(st.permutations(range(n)))
+    drawn = np.array(data.draw(st.lists(st.integers(0, V - 1), min_size=n, max_size=n)))
+    if state.embedding_override is None:
+        state.embedding_override = 0.5 * table.mask_vector() + 0.5 * table.rows[drawn]
+    expected = rows_denoiser(oracle_rows)
+    with mock.patch.object(warmdiff.denoiser, "_BONUS_TABLE_ENTRIES", budget):
+        denoiser, ctx = prepare("noisy-oracle", target, params, state, table)
+        assert (ctx.bonus_conf is None) == (budget < (n + 1) * n)
+        for source in (target, drawn):
+            for k in range(n + 1):
+                tokens = np.full(n, mask_id)
+                tokens[order[:k]] = source[order[:k]]
+                at_k = DiffusionState(vocab=state.vocab, tokens=tokens, embedding_override=state.embedding_override)
+                held = data.draw(held_subsets(at_k))
+                for rows in (None, (tokens == mask_id).nonzero()[0], data.draw(row_subsets(n))):
+                    got = denoiser(at_k, ctx, rows, held)
+                    assert out_bytes(got) == out_bytes(expected(at_k, ctx, rows, held))
+
+
+def tie_problem():
+    """V = 4, n = 6, an override whose bonus is positive at positions 0 and
+    3, exactly 0 at 1 and 4 (the mask vector) and negative at 2 and 5."""
+    rows = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]])
+    target = np.array([0, 1, 2, 3, 0, 0])
+    override = np.array([rows[0], rows[4], -rows[2], rows[3], rows[4], -rows[0]])
+    state = all_mask_init(Vocabulary(4), 6)
+    state.embedding_override = override
+    return state, target, EmbeddingTable(rows=rows)
+
+
+@pytest.mark.parametrize("budget", [42, 41])
+@pytest.mark.parametrize("mode", ["faithful", "credulous"])
+def test_bonus_ties_at_the_uniform_level(budget, mode):
+    """c0 = c_max = 0.25 with V = 4: a bonus of 0 or more clips to c_max,
+    four equal entries whose argmax is token 0; the negative ones here clip
+    to 0, leaving the intended token below the rest, whose lowest id wins.
+    With the tables (budget 42 = 7 * 6) and without them."""
+    state, target, table = tie_problem()
+    params = NoisyOracleParams(c0=0.25, gamma=0.5, eta=1.0, c_max=0.25, mode=mode)
+    with mock.patch.object(warmdiff.denoiser, "_BONUS_TABLE_ENTRIES", budget):
+        denoiser, ctx = prepare("noisy-oracle", target, params, state, table)
+        assert (ctx.bonus_conf is None) == (budget == 41)
+        best, conf, _ = got = denoiser(state, ctx)
+        assert best.tolist() == [0, 0, 0, 0, 0, 1]
+        assert conf.tolist() == [0.25, 0.25, 1 / 3, 0.25, 0.25, 1 / 3]
+        assert out_bytes(got) == out_bytes(rows_denoiser(oracle_rows)(state, ctx))
+        state.tokens[[1, 2]] = [1, 3]  # one correct reveal, one wrong one
+        held = np.array([1, 2])
+        expected = rows_denoiser(oracle_rows)(state, ctx, None, held)
+        assert out_bytes(denoiser(state, ctx, None, held)) == out_bytes(expected)
+
+
+def test_bonus_tables_stop_at_the_entry_budget():
+    """n = 255 is the longest sequence whose (n + 1) * n tables fit the
+    budget; from n = 256 the context holds no table and the oracle computes
+    the bonus per call, bit for bit what the reference rows give."""
+    assert 256 * 255 <= warmdiff.denoiser._BONUS_TABLE_ENTRIES < 257 * 256
+    rng = np.random.default_rng(5)
+    table = EmbeddingTable(rows=rng.standard_normal((9, 4)))
+    for n in (255, 256):
+        target = rng.integers(0, 8, n)
+        state = all_mask_init(Vocabulary(8), n)
+        state.embedding_override = rng.standard_normal((n, 4))
+        for mode in ("faithful", "credulous"):
+            params = NoisyOracleParams(eta=0.8, mode=mode)
+            denoiser, ctx = prepare("noisy-oracle", target, params, state, table)
+            if n == 255:
+                assert ctx.bonus_conf.shape == (256, 255)
+                assert ctx.bonus_best.shape == ({"faithful": 1, "credulous": 2}[mode], 256, 255)
+            else:
+                assert ctx.bonus_conf is None and ctx.bonus_best is None
+            for k in (0, n // 2):
+                tokens = np.full(n, 8)
+                tokens[: k : 2] = target[: k : 2]
+                tokens[1 : k : 2] = (target[1 : k : 2] + 3) % 8
+                at = DiffusionState(vocab=state.vocab, tokens=tokens, embedding_override=state.embedding_override)
+                held = (tokens != 8).nonzero()[0]
+                for rows in (None, (tokens == 8).nonzero()[0]):
+                    expected = rows_denoiser(oracle_rows)(at, ctx, rows, held)
+                    assert out_bytes(denoiser(at, ctx, rows, held)) == out_bytes(expected)
 
 
 @settings(max_examples=300, deadline=None)
@@ -487,6 +586,17 @@ def test_override_without_a_prepared_bonus_raises():
     assert ctx.bonus is None
     with pytest.raises(ValueError):
         denoiser(OVERRIDDEN, ctx)
+
+
+def test_context_with_a_bonus_but_no_tables_raises():
+    """Within the budget the oracle reads the bonus from the tables only
+    `prepare` builds; a context given the bonus column alone is refused."""
+    state, target, table = tie_problem()
+    _, ctx = prepare("noisy-oracle", target, NoisyOracleParams(eta=0.5), state, table)
+    assert ctx.bonus_conf is not None
+    by_hand = DenoiseContext(target=target, params=ctx.params, levels=ctx.levels, bonus=ctx.bonus)
+    with pytest.raises(ValueError, match="build it with prepare"):
+        noisy_oracle_logits(state, by_hand)
 
 
 def test_context_built_by_hand_raises():

@@ -1,8 +1,9 @@
 """Pinned output bytes for small configs shaped like the benchmark's
 workloads: token injection with remasking, embedding interpolation (also in
-credulous mode, and with the override kept for the first iteration only),
-and a markov sweep. A change meant to keep results byte-identical must keep these
-digests; a change that moves seeded results re-pins them and says so.
+credulous mode, with the override kept for the first iteration only, and
+past the oracle's bonus-table budget), and a markov sweep. A change meant to
+keep results byte-identical must keep these digests; a change that moves
+seeded results re-pins them and says so.
 """
 
 import hashlib
@@ -63,6 +64,10 @@ EMBED_CREDULOUS = {
 
 # The bonus applies on the first NFE only.
 EMBED_FIRST_ITERATION = {**EMBED, "seed": 45, "warmstart.override_persistence": "first-iteration"}
+
+# n = 256 is past the oracle's bonus-table budget: the bonus rows are
+# computed per call.
+EMBED_ABOVE_TABLE_BUDGET = {**EMBED, "n": 256, "num_runs": 2, "seed": 48, "denoiser.mode": "credulous"}
 
 MARKOV_SWEEP = {
     "n": 16,
@@ -132,12 +137,17 @@ def output_digests(grid):
             "819773de0cf3765d5bf46738f86bae4adf87ea14a28baceeebacd9136bad7077",
         ),
         (
+            EMBED_ABOVE_TABLE_BUDGET,
+            "9bf3dc8159a2f37194292003582c0711fb581b39c74e07bff068764d08289be0",
+            "6dbd140af9543d8984c738e467cf098f1828ee7720df35dc535a96f19d419153",
+        ),
+        (
             MARKOV_SWEEP,
             "4d32d91c7d218d32081aaba4276a735206a49e5f2a032e6bb72ac2f9467c81ba",
             "b1687b164ba42a1e3837d2a454aba4e48158bf42eed70e39f4242eb2bda2dc55",
         ),
     ],
-    ids=["inject-remask", "embed", "embed-credulous", "embed-first-iteration", "markov-sweep"],
+    ids=["inject-remask", "embed", "embed-credulous", "embed-first-iteration", "embed-above-table-budget", "markov-sweep"],
 )
 def test_output_bytes_are_pinned(grid, csv_digest, trace_digest, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
