@@ -48,8 +48,12 @@ __all__ = [
 
 _MODES = ("faithful", "credulous")
 # The most entries, (n + 1) * n, of each per-run bonus table that `prepare`
-# builds. Above it a table would cost more to build than the calls it saves,
-# and the oracle computes the bonus rows per call instead.
+# builds (n <= 255); above it the oracle computes the bonus rows per call.
+# It caps the tables' memory, which grows as n^2, and sits where their
+# O(n^2) build stopped paying for itself in `run_one` timings of the
+# oracle-embed config: in faithful mode the tables were faster at n = 255
+# and slower from n = 384 on; in credulous mode, which builds a second
+# `best` table, the crossover fell between n = 192 and n = 255.
 _BONUS_TABLE_ENTRIES = 2**16
 _NO_HELD = np.empty(0, dtype=np.float64)
 _NO_HELD.flags.writeable = False
@@ -187,10 +191,12 @@ def prepare(kind: str, target, params, init: DiffusionState, table: EmbeddingTab
     if bonus is not None and _tabulates(len(ctx.target)):
         # Every (revealed count, position) entry of the masked rows' output,
         # from the same elementwise operations as a call above the budget.
+        # Credulous mode stacks a second intent, the flipped target, which
+        # shares the clip and conf and differs only in `best`.
         V = init.vocab.size
         intents = [ctx.target] if params.mode == "faithful" else [ctx.target, (ctx.target + 1) % V]
-        out = [_bonus_rows(levels[:, None], bonus, intended, V, params.c_max) for intended in intents]
-        tables = {"bonus_best": np.stack([best for best, _ in out]), "bonus_conf": out[0][1]}
+        best, conf = _bonus_rows(levels[:, None], bonus, np.stack(intents)[:, None], V, params.c_max)
+        tables = {"bonus_best": best, "bonus_conf": conf}
     ctx = DenoiseContext(target=ctx.target, params=params, levels=levels, bonus=bonus, **tables)
     return noisy_oracle_logits, ctx
 
