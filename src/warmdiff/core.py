@@ -2,13 +2,15 @@
 
 Holds the vocabulary with its mask sentinel, the evolving diffusion state,
 token embedding tables, a counter-based deterministic random source, and the
-shared numeric primitives (softmax, all-mask init).
+all-mask init. `softmax` stays only because the benchmark's tracer resolves it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import operator
+from copy import copy as shallow_copy
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from hashlib import blake2b
 
@@ -48,16 +50,16 @@ class Vocabulary:
 class DiffusionState:
     """Partially masked output sequence plus warm-injection bookkeeping.
 
-    `injected` holds the positions whose current token came from a warm
-    proposal and has not been remasked yet; a position leaves the set
-    permanently when it is remasked. `embedding_override` is present only
-    under embedding-interpolation warm starts and carries one vector per
-    position.
+    `injected` holds, ascending, the positions whose current token came from
+    a warm proposal and has not been remasked yet: a read-only int64 array
+    built from any int iterable. `apply_remask` rebinds it to the positions
+    it did not remask. `embedding_override` is present only under
+    embedding-interpolation warm starts and carries one vector per position.
     """
 
     vocab: Vocabulary
     tokens: np.ndarray
-    injected: set[int] = field(default_factory=set)
+    injected: np.ndarray = ()
     embedding_override: np.ndarray | None = None
 
     def __post_init__(self):
@@ -67,14 +69,16 @@ class DiffusionState:
         if ((self.tokens < 0) | (self.tokens > self.vocab.mask_id)).any():
             raise ValueError("token id outside [0, mask_id]")
         n = self.tokens.size
-        if self.injected:
-            # A Python int beyond int64 makes an object array, which the range
-            # check still rejects.
-            injected = np.array(list(self.injected))
-            if ((injected < 0) | (injected >= n)).any():
+        # Checked as Python ints, so a position beyond int64 is out of range,
+        # not an overflow; counting per position then dedupes and sorts.
+        injected = [operator.index(p) for p in self.injected]
+        if injected:
+            if min(injected) < 0 or max(injected) >= n:
                 raise ValueError("injected position out of range")
             if (self.tokens[injected] == self.vocab.mask_id).any():
                 raise ValueError("injected position holds a mask token")
+        self.injected = np.flatnonzero(np.bincount(injected, minlength=n))
+        self.injected.flags.writeable = False
         if self.embedding_override is not None:
             self.embedding_override = np.asarray(self.embedding_override, dtype=np.float64)
             if self.embedding_override.shape[0] != n:
@@ -84,15 +88,10 @@ class DiffusionState:
         return self.tokens == self.vocab.mask_id
 
     def copy(self) -> "DiffusionState":
-        override = None
-        if self.embedding_override is not None:
-            override = self.embedding_override.copy()
-        return DiffusionState(
-            vocab=self.vocab,
-            tokens=self.tokens.copy(),
-            injected=set(self.injected),
-            embedding_override=override,
-        )
+        """Own tokens; shares `injected` and `embedding_override`, which decoding only rebinds."""
+        clone = shallow_copy(self)
+        clone.tokens = self.tokens.copy()
+        return clone
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,8 +138,7 @@ class EmbeddingTable:
         is a pure function of the rng seed."""
         if dim < 1:
             raise ValueError("embedding dimension must be positive")
-        row_ids = np.arange(vocab.size + 1)
-        return cls(rows=2.0 * np.column_stack([rng.draws("embed-table", row_ids, c) for c in range(dim)]) - 1.0)
+        return cls(rows=2.0 * rng.draws("embed-table", np.arange(vocab.size + 1), np.arange(dim)) - 1.0)
 
 
 # SplitMix64 (Steele, Lea & Flood 2014): a counter stepped by the odd
@@ -196,14 +194,19 @@ class DeterministicRng:
         """`draws` at one position."""
         return float(self.draws(purpose, (position,), iteration)[0])
 
-    def draws(self, purpose: str, positions, iteration: int) -> np.ndarray:
+    def draws(self, purpose: str, positions, iteration) -> np.ndarray:
         """The draw of (purpose, p, iteration) for each p of `positions`, a
         1-d int sequence, as one float64 array: the one path from an address
-        set to its values."""
-        base = _mix64(self._key ^ _purpose_key(purpose))
-        base = _mix64((base + (int(iteration) & _M64) * _GAMMA) & _M64)
+        set to its values. A 1-d int sequence of iterations gives the
+        len(positions) x len(iterations) grid."""
+        key = _mix64(self._key ^ _purpose_key(purpose))
+        if isinstance(iteration, (int, np.integer)):
+            base = np.uint64(_mix64((key + (int(iteration) & _M64) * _GAMMA) & _M64))
+        else:
+            base = np.array([_mix64((key + (int(i) & _M64) * _GAMMA) & _M64) for i in iteration], dtype=np.uint64)
+            positions = np.asarray(positions, dtype=np.int64)[:, None]
         # uint64 arrays wrap silently, as the hash wants.
-        z = np.asarray(positions, dtype=np.int64).view(np.uint64) * _U_GAMMA + np.uint64(base)
+        z = np.asarray(positions, dtype=np.int64).view(np.uint64) * _U_GAMMA + base
         z = (z ^ (z >> _U30)) * _U_MUL1
         z = (z ^ (z >> _U27)) * _U_MUL2
         return ((z ^ (z >> _U31)) >> _U11) * 2.0**-53

@@ -27,7 +27,6 @@ from itertools import islice
 import numpy as np
 
 from .core import DeterministicRng, DiffusionState
-from .warmstart import WarmStartConfig
 
 __all__ = [
     "DecodeConfig",
@@ -41,10 +40,13 @@ __all__ = [
     "decode",
 ]
 
+PERSISTENCE_MODES = ("while-masked", "first-iteration")
+
 
 @dataclass(frozen=True)
 class DecodeConfig:
-    """Decoding knobs: threshold tau, remask switch, bias schedule, hard cap.
+    """Decoding knobs: threshold tau, remask switch, bias schedule, hard cap,
+    and on which iterations the denoiser sees an embedding override.
 
     The remask bias at iteration k is b0 - lam * k (first denoiser call is
     k = 1). k_max is a safety valve only; any k_max >= n + |injected|
@@ -56,6 +58,7 @@ class DecodeConfig:
     b0: float = 0.5
     lam: float = 0.05
     k_max: int = 4096
+    override_persistence: str = "while-masked"
 
     def __post_init__(self):
         if not 0.0 < self.tau <= 1.0:
@@ -66,6 +69,8 @@ class DecodeConfig:
             raise ValueError("lam must be > 0")
         if self.k_max < 1:
             raise ValueError("k_max must be a positive integer")
+        if self.override_persistence not in PERSISTENCE_MODES:
+            raise ValueError(f"override_persistence must be one of {PERSISTENCE_MODES}")
 
 
 @dataclass
@@ -170,18 +175,17 @@ def remask_rates(c_bar: np.ndarray, k: int, b0: float, lam: float) -> np.ndarray
 
 def apply_remask(
     state: DiffusionState,
-    positions: np.ndarray,
     rates: np.ndarray,
     rng: DeterministicRng,
     k: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Independently remask each eligible position with its rate (draws
-    addressed by "remask", position, k); returns the remasked positions and
-    their rates. A remasked position leaves the injected set permanently."""
-    hit = rng.draws("remask", positions, k) < rates
-    remasked = positions[hit]
+    """Independently remask each position of `state.injected` with its rate
+    (draws addressed by "remask", position, k); returns the remasked
+    positions and their rates, and rebinds `state.injected` to the rest."""
+    hit = rng.draws("remask", state.injected, k) < rates
+    remasked = state.injected[hit]
     state.tokens[remasked] = state.vocab.mask_id
-    state.injected.difference_update(remasked.tolist())
+    state.injected = state.injected[~hit]
     return remasked, rates[hit]
 
 
@@ -190,7 +194,6 @@ def decode(
     ctx,
     init: DiffusionState,
     dcfg: DecodeConfig,
-    wcfg: WarmStartConfig,
     rng: DeterministicRng,
 ) -> DecodeTrace:
     """Run the full inference loop from a warm-started (or all-mask) state;
@@ -206,7 +209,7 @@ def decode(
 
     The embedding override is visible to the denoiser on every iteration
     under "while-masked" persistence, and only on the first under
-    "first-iteration".
+    "first-iteration". `init` is left unchanged.
     """
     state = init.copy()
     n = len(state.tokens)
@@ -222,20 +225,20 @@ def decode(
     remask_counts, remask_pos, remask_rate, masked_after = [], [], [], []
     k = 0
     # Carried across iterations and updated only where one unmasks or
-    # remasks: the masked positions, their count, and (when remasking) the
-    # still-injected positions in ascending order.
+    # remasks: the masked positions and their count.
     masked = state.masked()
     n_masked = int(np.count_nonzero(masked))
-    eligible = np.array(sorted(state.injected), dtype=np.int64) if dcfg.remask_enabled else np.empty(0, np.int64)
+    no_positions = np.empty(0, np.int64)
     while n_masked and k < dcfg.k_max:
         k += 1
-        if wcfg.override_persistence == "first-iteration" and k > 1:
+        if dcfg.override_persistence == "first-iteration" and k > 1:
             state.embedding_override = None
 
         # Entry i of best and conf is masked position rows[i]; rows ascend, so
         # entry order breaks ties like position order. held[j] is the
         # probability of the token eligible[j] holds.
         rows = masked.nonzero()[0]
+        eligible = state.injected if dcfg.remask_enabled else no_positions
         best, conf, held = denoiser(state, ctx, rows, eligible)
         # Counting finite entries costs about half of np.isfinite(...).all().
         if np.count_nonzero(np.isfinite(conf)) + np.count_nonzero(np.isfinite(held)) < len(conf) + len(held):
@@ -254,14 +257,13 @@ def decode(
         n_remasked = 0
         if eligible.size:
             rates = remask_rates(held, k, dcfg.b0, dcfg.lam)
-            positions, hit_rates = apply_remask(state, eligible, rates, rng, k)
+            positions, hit_rates = apply_remask(state, rates, rng, k)
             n_remasked = len(positions)
             if n_remasked:
                 remask_pos.append(positions)
                 remask_rate.append(hit_rates)
                 masked[positions] = True
                 n_masked += n_remasked
-                eligible = eligible[~masked[eligible]]
         remask_counts.append(n_remasked)
         masked_after.append(n_masked)
 

@@ -89,7 +89,7 @@ SCHEMA = {
     "warmstart.method": (str, "none", "warmstart.method"),
     "warmstart.rho": (float, 0.25, "warmstart.rho"),
     "warmstart.alpha": (float, 0.6, "warmstart.alpha"),
-    "warmstart.override_persistence": (str, "while-masked", "warmstart.override_persistence"),
+    "warmstart.override_persistence": (str, "while-masked", "decode.override_persistence"),  # decode reads it
     "decode.tau": (float, 0.9, "decode.tau"),
     "decode.remask_enabled": (bool, False, "decode.remask_enabled"),
     "decode.b0": (float, 0.5, "decode.b0"),
@@ -438,7 +438,7 @@ def run_one(
 
     params = cfg.oracle if cfg.denoiser_kind == "noisy-oracle" else resources.bigram
     denoiser, ctx = prepare(cfg.denoiser_kind, target, params, init, resources.table)
-    trace = decode(denoiser, ctx, init, cfg.decode, cfg.warmstart, rng)
+    trace = decode(denoiser, ctx, init, cfg.decode, rng)
     result = RunResult(
         run=run_index,
         seed=rng.seed,
@@ -592,7 +592,7 @@ def check_trace_invariants(trace: DecodeTrace, init: DiffusionState) -> list[str
     if problems:
         return problems
     n = len(init.tokens)
-    injected0 = set(init.injected)
+    injected0 = set(init.injected.tolist())
     masked = set(np.flatnonzero(init.masked()).tolist())
     unmasked_seen: set[int] = set()
     remasked_seen: set[int] = set()

@@ -18,7 +18,6 @@ from .core import DeterministicRng, DiffusionState, EmbeddingTable, Vocabulary, 
 __all__ = ["WarmStartConfig", "warm_init", "inject_tokens", "interpolate_embeddings"]
 
 METHODS = ("none", "token-injection", "embedding-interpolation")
-PERSISTENCE_MODES = ("while-masked", "first-iteration")
 
 
 @dataclass(frozen=True)
@@ -28,15 +27,12 @@ class WarmStartConfig:
     rho is the prior-keep probability in both methods (injection gate for
     token injection, dropout keep-rate for embedding interpolation); alpha
     is the interpolation weight and is ignored unless the method is
-    embedding-interpolation. override_persistence controls whether the
-    override vectors stand in for masked positions on every iteration or
-    only on the first one.
+    embedding-interpolation.
     """
 
     method: str = "none"
     rho: float = 0.25
     alpha: float = 0.6
-    override_persistence: str = "while-masked"
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -45,8 +41,6 @@ class WarmStartConfig:
             raise ValueError("rho must be in [0, 1]")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must be in [0, 1]")
-        if self.override_persistence not in PERSISTENCE_MODES:
-            raise ValueError(f"override_persistence must be one of {PERSISTENCE_MODES}")
 
 
 def inject_tokens(vocab, proposal: np.ndarray, rho: float, rng: DeterministicRng) -> DiffusionState:
@@ -56,7 +50,7 @@ def inject_tokens(vocab, proposal: np.ndarray, rho: float, rng: DeterministicRng
         raise ValueError("rho must be in [0, 1]")
     gate = rng.draws("inject-gate", np.arange(len(proposal)), 0) < rho
     tokens = np.where(gate, proposal, vocab.mask_id)
-    return DiffusionState(vocab=vocab, tokens=tokens, injected=set(np.flatnonzero(gate).tolist()))
+    return DiffusionState(vocab=vocab, tokens=tokens, injected=np.flatnonzero(gate))
 
 
 def interpolate_embeddings(

@@ -41,12 +41,14 @@ def reference_run_key(seed, run):
 
 def record_draws(monkeypatch):
     """Patch DeterministicRng.draws to append (purpose, position, iteration)
-    for each address it draws; returns the list it fills."""
+    for each address it draws, a grid of iterations included; returns the
+    list it fills."""
     seen = []
     draws = DeterministicRng.draws
 
     def recording_draws(self, purpose, positions, iteration):
-        seen.extend((purpose, int(p), iteration) for p in np.asarray(positions, dtype=np.int64))
+        iterations = [int(i) for i in np.atleast_1d(iteration)]
+        seen.extend((purpose, int(p), i) for p in np.asarray(positions, dtype=np.int64) for i in iterations)
         return draws(self, purpose, positions, iteration)
 
     monkeypatch.setattr(DeterministicRng, "draws", recording_draws)

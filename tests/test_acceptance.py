@@ -27,7 +27,7 @@ from warmdiff.harness import (
     run_one,
     trace_lines,
 )
-from warmdiff.warmstart import WarmStartConfig, inject_tokens, interpolate_embeddings
+from warmdiff.warmstart import inject_tokens, interpolate_embeddings
 from warmdiff.core import EmbeddingTable
 
 RUNS = 200
@@ -102,8 +102,7 @@ def test_criterion_1_oracle_equivalence():
                     ctx = None  # the scripted denoiser reads no context
                     trace = decode(
                         rows_denoiser(scripted(script)), ctx, all_mask_init(v, n),
-                        DecodeConfig(tau=tau, k_max=2 * n), WarmStartConfig(),
-                        DeterministicRng(0),
+                        DecodeConfig(tau=tau, k_max=2 * n), DeterministicRng(0),
                     )
                     ref_tokens, ref_records = reference_decode(
                         scripted(script), ctx, all_mask_init(v, n).tokens, v, tau=tau

@@ -34,7 +34,7 @@ class TestAllMaskInit:
         v = Vocabulary(4)
         state = all_mask_init(v, 4)
         assert state.tokens.tolist() == [4, 4, 4, 4]
-        assert state.injected == set()
+        assert state.injected.dtype == np.int64 and state.injected.tolist() == []
         assert state.embedding_override is None
         assert int(state.masked().sum()) == 4
 
@@ -69,6 +69,11 @@ class TestDiffusionState:
         with pytest.raises(ValueError, match="out of range"):
             DiffusionState(vocab=Vocabulary(3), tokens=np.array([0, 1]), injected=injected)
 
+    @pytest.mark.parametrize("injected", [{0.0}, [1, 0.5], np.array([0.0])], ids=["float", "one-of-two", "float-array"])
+    def test_rejects_injected_positions_that_are_not_integers(self, injected):
+        with pytest.raises(TypeError):
+            DiffusionState(vocab=Vocabulary(3), tokens=np.array([0, 1]), injected=injected)
+
     @pytest.mark.parametrize("injected", [{0}, {np.int64(0)}, {1, 0}], ids=["int", "numpy-int", "one-of-two"])
     def test_rejects_injected_position_holding_the_mask(self, injected):
         with pytest.raises(ValueError, match="holds a mask token"):
@@ -77,7 +82,22 @@ class TestDiffusionState:
     @pytest.mark.parametrize("injected", [set(), {np.int64(1)}, {0, 1}])
     def test_accepts_injected_positions_holding_tokens(self, injected):
         state = DiffusionState(vocab=Vocabulary(3), tokens=np.array([0, 1]), injected=injected)
-        assert state.injected == injected
+        assert state.injected.tolist() == sorted(injected)
+
+    @pytest.mark.parametrize(
+        "injected",
+        [[3, 0, 2, 0], (2, 3, 3, 0), {3, 2, 0}, np.array([3, 2, 0, 2], dtype=np.int32), iter([0, 3, 2]),
+         [np.uint8(3), 0, np.int64(2)]],
+        ids=["list", "tuple", "set", "int32-array", "iterator", "numpy-scalars"],
+    )
+    def test_injected_is_stored_ascending_int64_and_read_only(self, injected):
+        """Duplicates collapse as in a set; whatever the input order, the
+        positions come back ascending."""
+        state = DiffusionState(vocab=Vocabulary(4), tokens=np.array([0, 4, 1, 2]), injected=injected)
+        assert state.injected.dtype == np.int64
+        assert state.injected.tolist() == [0, 2, 3]
+        with pytest.raises(ValueError, match="read-only"):
+            state.injected[0] = 1
 
     def test_rejects_override_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -87,14 +107,16 @@ class TestDiffusionState:
                 embedding_override=np.zeros((3, 2)),
             )
 
-    def test_copy_is_independent(self):
+    def test_copy_owns_its_tokens_and_shares_what_decoding_rebinds(self):
         v = Vocabulary(3)
-        state = DiffusionState(vocab=v, tokens=np.array([0, 3]), injected={0})
+        state = DiffusionState(vocab=v, tokens=np.array([0, 3]), injected={0}, embedding_override=np.zeros((2, 2)))
         clone = state.copy()
         clone.tokens[1] = 1
-        clone.injected.add(1)
         assert state.tokens[1] == 3
-        assert state.injected == {0}
+        assert clone.injected is state.injected and clone.embedding_override is state.embedding_override
+        clone.injected = clone.injected[:0]
+        clone.embedding_override = None
+        assert state.injected.tolist() == [0] and state.embedding_override is not None
 
 
 class TestEmbedLookup:
@@ -176,6 +198,26 @@ class TestDeterministicRng:
     def test_draws_match_the_pure_int_reference(self, seed, purpose, positions, iteration):
         out = DeterministicRng(seed).draws(purpose, positions, iteration)
         assert out.tolist() == [reference_draw(seed, purpose, p, iteration) for p in positions]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(-(2**70), 2**70),
+        purpose=st.text(max_size=12),
+        positions=st.lists(st.integers(-(2**63), 2**63 - 1), max_size=6),
+        iterations=st.lists(st.integers(-(2**65), 2**65), max_size=6),
+    )
+    def test_draws_over_an_iteration_grid_match_the_pure_int_reference(self, seed, purpose, positions, iterations):
+        out = DeterministicRng(seed).draws(purpose, positions, iterations)
+        assert out.dtype == np.float64 and out.shape == (len(positions), len(iterations))
+        assert out.tolist() == [[reference_draw(seed, purpose, p, it) for it in iterations] for p in positions]
+
+    def test_iteration_grid_takes_any_int_sequence(self):
+        rng = DeterministicRng(3)
+        expected = rng.draws("p", [1, 2], [0, 1, 2]).tolist()
+        for iterations in (range(3), (0, 1, 2), np.arange(3, dtype=np.int32)):
+            assert rng.draws("p", [1, 2], iterations).tolist() == expected
+        assert rng.draws("p", [], [0, 1]).shape == (0, 2)
+        assert rng.draws("p", [1, 2], []).shape == (2, 0)
 
     def test_known_answer_vectors(self):
         """53-bit integers 2^53 * draw, pinned so the stream cannot drift

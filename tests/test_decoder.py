@@ -16,9 +16,7 @@ from warmdiff.decoder import (
     select_unmask,
 )
 from warmdiff.denoiser import NoisyOracleParams, noisy_oracle_logits, prepare
-from warmdiff.warmstart import WarmStartConfig, inject_tokens
-
-BASELINE = WarmStartConfig(method="none")
+from warmdiff.warmstart import WarmStartConfig, inject_tokens, warm_init
 
 
 class TestConfidences:
@@ -120,23 +118,23 @@ class TestApplyRemask:
 
     def test_zero_rates_change_nothing(self):
         state = self.make_state()
-        positions, rates = apply_remask(state, np.arange(4), np.zeros(4), DeterministicRng(1), 1)
+        positions, rates = apply_remask(state, np.zeros(4), DeterministicRng(1), 1)
         assert positions.tolist() == [] and rates.tolist() == []
-        assert state.injected == {0, 1, 2, 3}
+        assert state.injected.tolist() == [0, 1, 2, 3]
 
     def test_unit_rates_remask_everything(self):
         state = self.make_state()
-        positions, rates = apply_remask(state, np.arange(4), np.ones(4), DeterministicRng(1), 1)
+        positions, rates = apply_remask(state, np.ones(4), DeterministicRng(1), 1)
         assert positions.tolist() == [0, 1, 2, 3]
         assert rates.tolist() == [1.0] * 4
-        assert state.injected == set()
+        assert state.injected.tolist() == []
         assert int(state.masked().sum()) == 4
 
     def test_outcome_reproducible(self):
         results = []
         for _ in range(2):
-            state = self.make_state()
-            positions, rates = apply_remask(state, np.array([3]), np.array([0.5]), DeterministicRng(7), 2)
+            state = DiffusionState(vocab=Vocabulary(4), tokens=np.array([0, 1, 2, 3]), injected={3})
+            positions, rates = apply_remask(state, np.array([0.5]), DeterministicRng(7), 2)
             results.append((positions.tolist(), rates.tolist(), state.tokens.tolist()))
         assert results[0] == results[1]
 
@@ -152,8 +150,7 @@ class TestDecode:
         init = all_mask_init(v, 6)
         ctx = oracle_ctx(target, init, c0=1.0, c_max=1.0)
         trace = decode(
-            noisy_oracle_logits, ctx, init, DecodeConfig(tau=0.9), BASELINE,
-            DeterministicRng(0),
+            noisy_oracle_logits, ctx, init, DecodeConfig(tau=0.9), DeterministicRng(0),
         )
         assert trace.nfe == 1
         assert trace.final_tokens.tolist() == target.tolist()
@@ -165,8 +162,7 @@ class TestDecode:
         init = all_mask_init(v, 7)
         ctx = oracle_ctx(target, init, c0=0.3, gamma=0.0, c_max=0.3)
         trace = decode(
-            noisy_oracle_logits, ctx, init, DecodeConfig(tau=0.9), BASELINE,
-            DeterministicRng(0),
+            noisy_oracle_logits, ctx, init, DecodeConfig(tau=0.9), DeterministicRng(0),
         )
         assert trace.nfe == 7
         assert all(len(rec.unmasked) == 1 for rec in trace.iterations)
@@ -179,7 +175,7 @@ class TestDecode:
         init = inject_tokens(v, target, 0.3, DeterministicRng(6))
         ctx = oracle_ctx(target, init, c0=0.35, gamma=0.8, c_max=0.95)
         dcfg = DecodeConfig(tau=0.9, remask_enabled=True, b0=0.4, lam=0.08, k_max=48)
-        trace = decode(noisy_oracle_logits, ctx, init, dcfg, BASELINE, DeterministicRng(7))
+        trace = decode(noisy_oracle_logits, ctx, init, dcfg, DeterministicRng(7))
         masked = int(init.masked().sum())
         for rec in trace.iterations:
             assert len(rec.unmasked) >= 1
@@ -196,9 +192,9 @@ class TestDecode:
         init = inject_tokens(v, target, 0.5, DeterministicRng(9))
         ctx = oracle_ctx(target, init, c0=0.4, gamma=0.5, c_max=0.9)
         dcfg = DecodeConfig(tau=0.95, remask_enabled=True, b0=0.6, lam=0.05, k_max=40)
-        trace = decode(noisy_oracle_logits, ctx, init, dcfg, BASELINE, DeterministicRng(10))
+        trace = decode(noisy_oracle_logits, ctx, init, dcfg, DeterministicRng(10))
         remasked = {p for rec in trace.iterations for p, _ in rec.remasked}
-        assert remasked <= init.injected
+        assert remasked <= set(init.injected.tolist())
 
     def test_init_state_not_mutated(self):
         v = Vocabulary(4)
@@ -206,9 +202,40 @@ class TestDecode:
         init = all_mask_init(v, 4)
         decode(
             noisy_oracle_logits, oracle_ctx(target, init, c0=1.0, c_max=1.0), init,
-            DecodeConfig(tau=0.5), BASELINE, DeterministicRng(0),
+            DecodeConfig(tau=0.5), DeterministicRng(0),
         )
         assert int(init.masked().sum()) == 4
+
+    @staticmethod
+    def state_bytes(state):
+        override = state.embedding_override
+        return state.tokens.tobytes(), state.injected.tobytes(), None if override is None else override.tobytes()
+
+    def test_remasking_run_leaves_init_byte_identical(self):
+        """decode shares `injected` with `init` and remasks from it."""
+        v = Vocabulary(6)
+        target = np.arange(12) % 6
+        init = inject_tokens(v, (target + 1) % 6, 0.5, DeterministicRng(3))
+        before = self.state_bytes(init)
+        dcfg = DecodeConfig(tau=0.9, remask_enabled=True, b0=1.0, lam=0.05)
+        trace = decode(noisy_oracle_logits, oracle_ctx(target, init), init, dcfg, DeterministicRng(4))
+        assert trace.remask_counts.sum() >= 1
+        assert self.state_bytes(init) == before
+
+    def test_first_iteration_embedding_run_leaves_init_byte_identical(self):
+        """decode shares `embedding_override` with `init` and drops it after
+        the first call."""
+        v = Vocabulary(6)
+        target = np.arange(12) % 6
+        table = EmbeddingTable.random(v, 4, DeterministicRng(5))
+        wcfg = WarmStartConfig(method="embedding-interpolation", rho=0.5, alpha=0.6)
+        init = warm_init(v, (target + 1) % 6, table, wcfg, DeterministicRng(6))
+        before = self.state_bytes(init)
+        denoiser, ctx = prepare("noisy-oracle", target, NoisyOracleParams(eta=0.5), init, table)
+        dcfg = DecodeConfig(tau=0.9, override_persistence="first-iteration")
+        trace = decode(denoiser, ctx, init, dcfg, DeterministicRng(7))
+        assert trace.nfe > 1 and init.embedding_override is not None
+        assert self.state_bytes(init) == before
 
     def test_cap_hit_flags_instead_of_raising(self):
         v = Vocabulary(4)
@@ -218,7 +245,7 @@ class TestDecode:
         with pytest.warns(UserWarning):
             trace = decode(
                 noisy_oracle_logits, ctx, init,
-                DecodeConfig(tau=0.9, k_max=2), BASELINE, DeterministicRng(0),
+                DecodeConfig(tau=0.9, k_max=2), DeterministicRng(0),
             )
         assert trace.capped
         assert trace.nfe == 2
@@ -234,8 +261,7 @@ class TestDecode:
             w.simplefilter("error")
             decode(
                 noisy_oracle_logits, oracle_ctx(target, init, c0=1.0, c_max=1.0),
-                init, DecodeConfig(tau=0.5, k_max=6), BASELINE,
-                DeterministicRng(0),
+                init, DecodeConfig(tau=0.5, k_max=6), DeterministicRng(0),
             )
 
     def test_first_iteration_persistence_drops_override(self):
@@ -250,8 +276,7 @@ class TestDecode:
         init = all_mask_init(v, 4)
         init.embedding_override = np.zeros((4, 2))
         ctx = oracle_ctx(target, init, c0=0.3, gamma=0.0, c_max=0.3)
-        wcfg = WarmStartConfig(method="embedding-interpolation", override_persistence="first-iteration")
-        decode(spy, ctx, init, DecodeConfig(tau=0.9), wcfg, DeterministicRng(0))
+        decode(spy, ctx, init, DecodeConfig(tau=0.9, override_persistence="first-iteration"), DeterministicRng(0))
         assert seen[0] is True
         assert all(not s for s in seen[1:])
 
@@ -267,7 +292,7 @@ class TestDecode:
         init = all_mask_init(v, 4)
         init.embedding_override = np.zeros((4, 2))
         ctx = oracle_ctx(target, init, c0=0.3, gamma=0.0, c_max=0.3)
-        decode(spy, ctx, init, DecodeConfig(tau=0.9), BASELINE, DeterministicRng(0))
+        decode(spy, ctx, init, DecodeConfig(tau=0.9), DeterministicRng(0))
         assert all(seen)
 
     def test_tied_maxima_unmask_the_lowest_token_id(self):
@@ -285,7 +310,7 @@ class TestDecode:
             return next(script)[rows]
 
         trace = decode(
-            rows_denoiser(tied), None, all_mask_init(v, 3), DecodeConfig(tau=0.4), BASELINE, DeterministicRng(0)
+            rows_denoiser(tied), None, all_mask_init(v, 3), DecodeConfig(tau=0.4), DeterministicRng(0)
         )
         assert trace.nfe == 2
         assert trace.unmask_counts.tolist() == [2, 1]
@@ -305,8 +330,7 @@ class TestDecode:
 
         with pytest.raises(ValueError, match="non-finite"):
             decode(
-                rows_denoiser(broken), None, all_mask_init(v, 4), DecodeConfig(tau=0.9), BASELINE,
-                DeterministicRng(0),
+                rows_denoiser(broken), None, all_mask_init(v, 4), DecodeConfig(tau=0.9), DeterministicRng(0),
             )
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -324,7 +348,7 @@ class TestDecode:
         init = DiffusionState(vocab=v, tokens=np.array([0, 3, 2, 3]), injected={0, 2})
         dcfg = DecodeConfig(tau=0.9, remask_enabled=True)
         with pytest.raises(ValueError, match="non-finite"):
-            decode(broken, None, init, dcfg, BASELINE, DeterministicRng(0))
+            decode(broken, None, init, dcfg, DeterministicRng(0))
 
     def test_overflowing_embedding_bonus_raises(self):
         """Entries of 1e200 overflow the dot products of the cosine, so the
@@ -334,20 +358,18 @@ class TestDecode:
         table = EmbeddingTable(rows=np.full((5, 3), 1e200))
         init = all_mask_init(v, 4)
         init.embedding_override = table.rows[target] * 0.5
-        wcfg = WarmStartConfig(method="embedding-interpolation")
         with np.errstate(over="ignore", invalid="ignore"):
             denoiser, ctx = prepare("noisy-oracle", target, NoisyOracleParams(eta=0.5), init, table)
             assert np.isnan(ctx.bonus).all()
             with pytest.raises(ValueError, match="non-finite"):
-                decode(denoiser, ctx, init, DecodeConfig(tau=0.9), wcfg, DeterministicRng(0))
+                decode(denoiser, ctx, init, DecodeConfig(tau=0.9), DeterministicRng(0))
 
     def test_full_injection_returns_immediately(self):
         v = Vocabulary(4)
         target = np.array([0, 1, 2, 3])
         init = inject_tokens(v, target, 1.0, DeterministicRng(0))
         trace = decode(
-            noisy_oracle_logits, oracle_ctx(target, init), init, DecodeConfig(tau=0.9), BASELINE,
-            DeterministicRng(0),
+            noisy_oracle_logits, oracle_ctx(target, init), init, DecodeConfig(tau=0.9), DeterministicRng(0),
         )
         assert trace.nfe == 0
         assert trace.iterations == []
@@ -373,8 +395,7 @@ class TestScriptedTraceEquivalence:
 
         ctx = None  # the scripted denoiser reads no context
         trace = decode(
-            rows_denoiser(scripted(script)), ctx, all_mask_init(v, 3), DecodeConfig(tau=0.75), BASELINE,
-            DeterministicRng(0),
+            rows_denoiser(scripted(script)), ctx, all_mask_init(v, 3), DecodeConfig(tau=0.75), DeterministicRng(0),
         )
         ref_tokens, ref_records = reference_decode(
             scripted(script), ctx, all_mask_init(v, 3).tokens, v, tau=0.75
@@ -409,8 +430,7 @@ class TestScriptedTraceEquivalence:
                 ctx = oracle_ctx(target, init, c0=0.31, gamma=0.47, c_max=0.93, mode=mode)
                 for tau in (0.5, 0.9):
                     trace = decode(
-                        noisy_oracle_logits, ctx, init, DecodeConfig(tau=tau), BASELINE,
-                        DeterministicRng(0),
+                        noisy_oracle_logits, ctx, init, DecodeConfig(tau=tau), DeterministicRng(0),
                     )
                     ref_tokens, ref_records = reference_decode(oracle_rows, ctx, init.tokens, v, tau=tau)
                     assert trace.final_tokens.tolist() == ref_tokens
@@ -430,3 +450,5 @@ def test_decode_config_validation():
         DecodeConfig(lam=-0.1)
     with pytest.raises(ValueError):
         DecodeConfig(k_max=0)
+    with pytest.raises(ValueError, match="override_persistence"):
+        DecodeConfig(override_persistence="forever")

@@ -26,7 +26,7 @@ from warmdiff.core import DeterministicRng, DiffusionState, EmbeddingTable, Voca
 from warmdiff.decoder import DecodeConfig, decode, rows_denoiser
 from warmdiff.denoiser import DenoiseContext, NoisyOracleParams, markov_logits, noisy_oracle_logits, prepare
 from warmdiff.proposal import propose_markov
-from warmdiff.warmstart import WarmStartConfig, inject_tokens, interpolate_embeddings
+from warmdiff.warmstart import inject_tokens, interpolate_embeddings
 
 from reference_rows import markov_rows, oracle_rows, out_bytes, reference_rows
 
@@ -238,8 +238,7 @@ def test_oracle_matches_loop_through_decode(problem, params, persistence):
         seen.append(state.embedding_override is not None)
         return out
 
-    wcfg = WarmStartConfig(method="embedding-interpolation", override_persistence=persistence)
-    decode(checked, ctx, init, DecodeConfig(tau=0.9), wcfg, DeterministicRng(0))
+    decode(checked, ctx, init, DecodeConfig(tau=0.9, override_persistence=persistence), DeterministicRng(0))
     if init.embedding_override is None:
         assert not any(seen)
     elif persistence == "first-iteration":
@@ -440,7 +439,7 @@ def test_markov_matches_per_position_loop_through_decode(shape, rho, seed):
         return out
 
     dcfg = DecodeConfig(tau=0.5, remask_enabled=True, b0=0.3, lam=0.05)
-    trace = decode(checked, ctx, init, dcfg, WarmStartConfig(method="token-injection"), DeterministicRng(seed + 2))
+    trace = decode(checked, ctx, init, dcfg, DeterministicRng(seed + 2))
     assert len(calls) == trace.nfe
 
 

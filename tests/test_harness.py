@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from reference_rng import reference_run_key
 from reference_trace import RecordTrace, columnar, reference_trace_lines
 from warmdiff import harness
 from warmdiff.core import DeterministicRng
-from warmdiff.decoder import IterationRecord
+from warmdiff.decoder import DecodeConfig, IterationRecord
+from warmdiff.denoiser import NoisyOracleParams
 from warmdiff.harness import (
     CSV_COLUMNS,
     ConfigError,
@@ -26,6 +28,7 @@ from warmdiff.harness import (
     trace_lines,
     validate_runs,
 )
+from warmdiff.warmstart import WarmStartConfig
 
 
 class TestConfigParsing:
@@ -136,6 +139,7 @@ class TestBuildConfig:
             {"decode.tau": 0.0},
             {"decode.k_max": -3},
             {"warmstart.method": "magnets"},
+            {"warmstart.override_persistence": "forever"},
             {"denoiser.window": 4},
         ):
             with pytest.raises(ConfigError):
@@ -153,6 +157,21 @@ class TestBuildConfig:
         ):
             with pytest.raises(ConfigError, match=str(harness.MAX_ENTRIES)):
                 build_config(overrides)
+
+    def test_schema_defaults_are_the_field_defaults_they_name(self):
+        """Each nested config's default is written in SCHEMA and on its
+        dataclass field; the two agree. decode.k_max is the exception: its
+        config default 0 resolves to 2n, while DecodeConfig defaults to 4096."""
+        owners = {"oracle": NoisyOracleParams, "warmstart": WarmStartConfig, "decode": DecodeConfig}
+        checked = {owner: 0 for owner in owners}
+        for key, (_, default, attr) in harness.SCHEMA.items():
+            owner, _, name = attr.rpartition(".")
+            if owner not in owners or key == "decode.k_max":
+                continue
+            field_default = next(f.default for f in fields(owners[owner]) if f.name == name)
+            assert (type(default), default) == (type(field_default), field_default), key
+            checked[owner] += 1
+        assert checked == {"oracle": 6, "warmstart": 3, "decode": 5}
 
     def test_config_to_dict_round_trips_keys(self):
         cfg = build_config({"warmstart.rho": 0.5})

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from warmdiff.bigram import BigramModel
 from warmdiff.core import DeterministicRng, EmbeddingTable, Vocabulary
 from warmdiff.decoder import (
+    PERSISTENCE_MODES,
     DecodeConfig,
     DecodeTrace,
     IterationRecord,
@@ -30,20 +31,20 @@ from warmdiff.decoder import (
 )
 from warmdiff.denoiser import NoisyOracleParams, prepare
 from warmdiff.harness import trace_lines
-from warmdiff.warmstart import METHODS, PERSISTENCE_MODES, WarmStartConfig, warm_init
+from warmdiff.warmstart import METHODS, WarmStartConfig, warm_init
 
 from reference_rows import reference_rows
 from reference_trace import RecordTrace, columnar, reference_trace_lines
 
 
-def full_matrix_decode(rows_fn, ctx, init, dcfg, wcfg, rng):
+def full_matrix_decode(rows_fn, ctx, init, dcfg, rng):
     state = init.copy()
     records = []
     k = 0
     masked = state.masked()
     while masked.any() and k < dcfg.k_max:
         k += 1
-        if wcfg.override_persistence == "first-iteration" and k > 1:
+        if dcfg.override_persistence == "first-iteration" and k > 1:
             state.embedding_override = None
 
         pi = rows_fn(state, ctx, None)
@@ -60,11 +61,11 @@ def full_matrix_decode(rows_fn, ctx, init, dcfg, wcfg, rng):
         state.tokens[chosen] = tokens
 
         remasked = []
-        if dcfg.remask_enabled and state.injected:
-            eligible = np.array(sorted(state.injected), dtype=np.int64)
+        if dcfg.remask_enabled and state.injected.size:
+            eligible = state.injected
             c_bar = pi[eligible, state.tokens[eligible]]
             rates = remask_rates(c_bar, k, dcfg.b0, dcfg.lam)
-            positions, hit_rates = apply_remask(state, eligible, rates, rng, k)
+            positions, hit_rates = apply_remask(state, rates, rng, k)
             remasked = list(zip(positions.tolist(), hit_rates.tolist()))
 
         masked = state.masked()
@@ -86,7 +87,6 @@ def runs(draw):
         method=draw(st.sampled_from(METHODS)),
         rho=draw(st.sampled_from([0.0, 0.5, 0.9, 1.0])),
         alpha=draw(st.floats(0.0, 1.0)),
-        override_persistence=draw(st.sampled_from(PERSISTENCE_MODES)),
     )
     init = warm_init(vocab, np.array(draw(tokens), dtype=np.int64), table, wcfg, rng)
     if draw(st.booleans()):
@@ -109,8 +109,9 @@ def runs(draw):
         b0=draw(st.sampled_from([0.01, 0.3, 1.0])),
         lam=draw(st.sampled_from([0.002, 0.05])),
         k_max=draw(st.sampled_from([1, 2, 4096])),
+        override_persistence=draw(st.sampled_from(PERSISTENCE_MODES)),
     )
-    return denoiser, rows_fn, ctx, init, wcfg, rng, knobs
+    return denoiser, rows_fn, ctx, init, rng, knobs
 
 
 def trace_bytes(write, trace, header=None):
@@ -121,16 +122,16 @@ def trace_bytes(write, trace, header=None):
 @settings(max_examples=400, deadline=None)
 @given(runs(), st.data())
 def test_live_rows_match_the_full_matrix(run, data):
-    denoiser, rows_fn, ctx, init, wcfg, rng, knobs = run
+    denoiser, rows_fn, ctx, init, rng, knobs = run
     first = DecodeConfig(tau=data.draw(st.floats(0.05, 1.0)), **knobs)
-    probe = full_matrix_decode(rows_fn, ctx, init, first, wcfg, rng)
+    probe = full_matrix_decode(rows_fn, ctx, init, first, rng)
     # A threshold equal to an emitted confidence puts positions exactly on the
     # strict > tau boundary.
     emitted = [c for rec in probe.iterations for _, _, c in rec.unmasked]
     for tau in {first.tau, data.draw(st.sampled_from(emitted)) if emitted else first.tau}:
         dcfg = DecodeConfig(tau=tau, **knobs)
-        want = full_matrix_decode(rows_fn, ctx, init, dcfg, wcfg, rng)
-        got = decode(denoiser, ctx, init, dcfg, wcfg, rng)
+        want = full_matrix_decode(rows_fn, ctx, init, dcfg, rng)
+        got = decode(denoiser, ctx, init, dcfg, rng)
         assert trace_bytes(trace_lines, got) == trace_bytes(reference_trace_lines, want)
         assert got.final_tokens.tobytes() == want.final_tokens.tobytes()
 
@@ -139,8 +140,8 @@ def test_live_rows_match_the_full_matrix(run, data):
 @settings(max_examples=300, deadline=None)
 @given(runs(), st.floats(0.05, 1.0))
 def test_trace_lines_match_the_reference_writer(run, tau):
-    denoiser, _, ctx, init, wcfg, rng, knobs = run
-    got = decode(denoiser, ctx, init, DecodeConfig(tau=tau, **knobs), wcfg, rng)
+    denoiser, _, ctx, init, rng, knobs = run
+    got = decode(denoiser, ctx, init, DecodeConfig(tau=tau, **knobs), rng)
     header = {"config": {"decode.tau": tau}, "run": 3, "seed": 2**64 - 1}
     assert trace_bytes(trace_lines, got, header) == trace_bytes(reference_trace_lines, got, header)
     # The record view holds exactly what the columns hold.

@@ -41,7 +41,7 @@ def decode_faithful(vocab, params, tau, target, wcfg, epsilon, seed):
     rng = DeterministicRng(seed)
     init = warm_init(vocab, propose_corrupted(vocab, target, epsilon, rng), None, wcfg, rng)
     denoiser, ctx = prepare("noisy-oracle", target, params, init)
-    return init, decode(denoiser, ctx, init, DecodeConfig(tau=tau), wcfg, rng)
+    return init, decode(denoiser, ctx, init, DecodeConfig(tau=tau), rng)
 
 
 @settings(max_examples=400, deadline=None)

@@ -43,13 +43,11 @@ def loop_interpolate(proposal, table, alpha, rho, rng):
     return out
 
 
-def loop_remask(state, positions, rates, rng, k):
+def loop_remask(tokens, mask_id, positions, rates, rng, k):
     remasked = []
     for pos, rate in zip(positions, rates):
-        pos = int(pos)
         if rng.draw("remask", pos, k) < rate:
-            state.tokens[pos] = state.vocab.mask_id
-            state.injected.discard(pos)
+            tokens[pos] = mask_id
             remasked.append((pos, float(rate)))
     return remasked
 
@@ -74,7 +72,7 @@ def test_draws_callers_match_their_loops(data, V, n, seed):
     rho = rate(data, rng.draws("inject-gate", range(n), 0).tolist())
     state = inject_tokens(vocab, proposal, rho, rng)
     tokens, injected = loop_inject(vocab, proposal, rho, rng)
-    assert (state.tokens.tobytes(), state.injected) == (tokens.tobytes(), injected)
+    assert (state.tokens.tobytes(), state.injected.tolist()) == (tokens.tobytes(), sorted(injected))
 
     table = EmbeddingTable.random(vocab, data.draw(st.integers(1, 4)), rng)
     alpha, rho = data.draw(st.floats(0.0, 1.0)), rate(data, rng.draws("embed-drop", range(n), 0).tolist())
@@ -82,9 +80,11 @@ def test_draws_callers_match_their_loops(data, V, n, seed):
     assert interpolate_embeddings(proposal, table, alpha, rho, rng).tobytes() == expected.tobytes()
 
     k = data.draw(st.integers(1, 5))
-    positions = np.array(sorted(state.injected), dtype=np.int64)
-    rates = np.array([rate(data, [rng.draw("remask", int(p), k)]) for p in positions], dtype=np.float64)
-    reference = state.copy()
-    remasked, hit_rates = apply_remask(state, positions, rates, rng, k)
-    assert list(zip(remasked.tolist(), hit_rates.tolist())) == loop_remask(reference, positions, rates, rng, k)
-    assert (state.tokens.tobytes(), state.injected) == (reference.tokens.tobytes(), reference.injected)
+    positions = state.injected.tolist()
+    rates = np.array([rate(data, [rng.draw("remask", p, k)]) for p in positions], dtype=np.float64)
+    tokens = state.tokens.copy()
+    expected = loop_remask(tokens, vocab.mask_id, positions, rates, rng, k)
+    remasked, hit_rates = apply_remask(state, rates, rng, k)
+    assert list(zip(remasked.tolist(), hit_rates.tolist())) == expected
+    assert state.tokens.tobytes() == tokens.tobytes()
+    assert state.injected.tolist() == [p for p in positions if p not in dict(expected)]

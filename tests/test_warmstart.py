@@ -14,14 +14,14 @@ class TestInjectTokens:
         v = Vocabulary(4)
         state = inject_tokens(v, make_proposal([0, 1, 2, 3]), 0.0, DeterministicRng(1))
         assert int(state.masked().sum()) == 4
-        assert state.injected == set()
+        assert state.injected.tolist() == []
 
     def test_unit_rate_copies_proposal(self):
         v = Vocabulary(4)
         prop = make_proposal([0, 1, 2, 3])
         state = inject_tokens(v, prop, 1.0, DeterministicRng(1))
         assert state.tokens.tolist() == [0, 1, 2, 3]
-        assert state.injected == {0, 1, 2, 3}
+        assert state.injected.tolist() == [0, 1, 2, 3]
 
     def test_injected_positions_hold_proposal_tokens(self):
         v = Vocabulary(6)
@@ -90,28 +90,28 @@ class TestWarmInit:
         state = warm_init(self.v, self.prop, self.table, cfg, DeterministicRng(21))
         ref = all_mask_init(self.v, 5)
         assert state.tokens.tolist() == ref.tokens.tolist()
-        assert state.injected == set()
+        assert state.injected.tolist() == []
         assert state.embedding_override is None
 
     def test_token_injection_full_rate(self):
         cfg = WarmStartConfig(method="token-injection", rho=1.0)
         state = warm_init(self.v, self.prop, self.table, cfg, DeterministicRng(21))
         assert state.tokens.tolist() == self.prop.tolist()
-        assert state.injected == set(range(5))
+        assert state.injected.tolist() == list(range(5))
 
     def test_zero_rate_injection_matches_all_mask(self):
         cfg = WarmStartConfig(method="token-injection", rho=0.0)
         state = warm_init(self.v, self.prop, self.table, cfg, DeterministicRng(21))
         ref = all_mask_init(self.v, 5)
         assert state.tokens.tolist() == ref.tokens.tolist()
-        assert state.injected == ref.injected
+        assert state.injected.tolist() == ref.injected.tolist()
         assert state.embedding_override is None
 
     def test_interpolation_keeps_discrete_state_masked(self):
         cfg = WarmStartConfig(method="embedding-interpolation", rho=0.5, alpha=0.6)
         state = warm_init(self.v, self.prop, self.table, cfg, DeterministicRng(22))
         assert int(state.masked().sum()) == 5
-        assert state.injected == set()
+        assert state.injected.tolist() == []
         assert state.embedding_override is not None
         assert state.embedding_override.shape == (5, 3)
 
@@ -134,7 +134,6 @@ class TestWarmInit:
         {"rho": -0.1},
         {"rho": 1.5},
         {"alpha": 2.0},
-        {"override_persistence": "forever"},
     ],
 )
 def test_bad_config_rejected(kw):
