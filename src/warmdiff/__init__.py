@@ -24,7 +24,6 @@ from .decoder import (
     confidences,
     decode,
     remask_rates,
-    rows_denoiser,
     select_unmask,
 )
 from .denoiser import DenoiseContext, NoisyOracleParams, markov_logits, noisy_oracle_logits, prepare

@@ -21,7 +21,7 @@ class BigramModel:
     `token_counts[v]` the number of occurrences of v (for the unigram).
     """
 
-    def __init__(self, num_tokens: int, counts: np.ndarray, token_counts: np.ndarray | None = None):
+    def __init__(self, num_tokens: int, counts: np.ndarray, token_counts: np.ndarray):
         if num_tokens < 2:
             raise ValueError("bigram model needs at least 2 token types")
         counts = np.asarray(counts, dtype=np.float64)
@@ -29,9 +29,6 @@ class BigramModel:
             raise ValueError(f"counts must be {num_tokens} x {num_tokens}")
         if (counts < 0).any() or not np.all(np.isfinite(counts)):
             raise ValueError("counts must be finite and non-negative")
-        if token_counts is None:
-            # Direct-count construction: approximate occurrences by out-degree.
-            token_counts = counts.sum(axis=1)
         token_counts = np.asarray(token_counts, dtype=np.float64)
         if token_counts.shape != (num_tokens,):
             raise ValueError("token_counts must have one entry per token type")

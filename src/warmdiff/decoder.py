@@ -9,12 +9,13 @@ probability, which the same call returns, and a linearly decaying bias.
 Model-decoded tokens are never revised; each injected position can be
 remasked at most once.
 
-A denoiser returns only what the loop reads, `(best, conf, held)`, not
-probability rows (see `warmdiff.denoiser`); `rows_denoiser` adapts a
-callable that returns rows, reducing them with `confidences`. The record
-view `DecodeTrace.iterations` and `confidences` stay public because the
-benchmark (`bench/measure.py`) counts from the one and wraps the other by
-name.
+`decode` is the one caller of a denoiser: each call passes the masked
+positions and the still-injected ones, and the denoiser returns only what
+the loop reads, `(best, conf, held)`, not probability rows (see
+`warmdiff.denoiser`). The record view `DecodeTrace.iterations` and the row
+reducer `confidences`, which nothing here calls, stay public only because
+the benchmark (`bench/measure.py`) counts from the one and wraps the other
+by name.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ __all__ = [
     "IterationRecord",
     "DecodeTrace",
     "confidences",
-    "rows_denoiser",
     "select_unmask",
     "remask_rates",
     "apply_remask",
@@ -133,28 +133,6 @@ def confidences(pi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return best, pi[np.arange(len(pi)), best]
 
 
-def rows_denoiser(fn):
-    """The denoiser that reads `fn(state, ctx, rows) -> len(rows) x V
-    probability rows`: it asks `fn` once for the union of `rows` and
-    `held_rows`, ascending, reduces the rows with `confidences` and reads
-    each held position's row at the token it holds. Non-finite rows raise
-    ValueError."""
-
-    def denoiser(state, ctx, rows=None, held_rows=None):
-        if rows is None:
-            rows = np.arange(len(state.tokens))
-        if held_rows is None:
-            held_rows = np.empty(0, dtype=np.int64)
-        live = np.union1d(rows, held_rows)
-        pi = fn(state, ctx, live)
-        if not np.isfinite(pi).all():
-            raise ValueError("denoiser returned non-finite probabilities")
-        best, conf = confidences(pi[live.searchsorted(rows)])
-        return best, conf, pi[live.searchsorted(held_rows), state.tokens[held_rows]]
-
-    return denoiser
-
-
 def select_unmask(conf: np.ndarray, tau: float) -> np.ndarray:
     """Indices into `conf`, the masked positions' confidences, to unmask: all
     strictly above tau, else the single most confident one (lowest index on
@@ -170,7 +148,7 @@ def select_unmask(conf: np.ndarray, tau: float) -> np.ndarray:
 def remask_rates(c_bar: np.ndarray, k: int, b0: float, lam: float) -> np.ndarray:
     """clip_[0,1]((1 - c_bar) + b0 - lam * k)."""
     bias = b0 - lam * k
-    return np.clip((1.0 - np.asarray(c_bar, dtype=np.float64)) + bias, 0.0, 1.0)
+    return ((1.0 - np.asarray(c_bar, dtype=np.float64)) + bias).clip(0.0, 1.0)
 
 
 def apply_remask(

@@ -1,25 +1,26 @@
 """Synthetic reverse models standing in for a trained mask predictor.
 
 A denoiser is a callable `(state, ctx, rows, held_rows) -> (best, conf,
-held)`, deterministic given its inputs. It returns what confidence-threshold
-decoding reads from the probability rows of the positions `rows` (an
-ascending int64 array, or None for all n), without building those
-len(rows) x V rows: `best`, each row's argmax (the lowest token id on ties);
-`conf`, the row's probability at `best`; and `held`, for each position p in
-`held_rows` (ascending, never masked, or None for none), the row's
+held)`, deterministic given its inputs, and answers the one call `decode`
+makes each iteration. `rows` holds the masked positions and `held_rows` the
+still-injected ones (empty when remasking is off), each an ascending int64
+array. Without building the len(rows) x V probability rows it returns what
+confidence-threshold decoding reads from them: `best`, each masked row's
+argmax (the lowest token id on ties); `conf`, the row's probability at
+`best`; and `held`, for each position p in `held_rows`, the row's
 probability of the token p holds, which remasking reads. Every entry is bit
-for bit what the full row gives, and it does not depend on which other
-positions were asked for. Quantities that depend on the whole sequence (the
-revealed count, credulous flips) are computed over all n positions first,
-nearest revealed neighbours by binary search over the revealed positions.
+for bit what the full row gives. Quantities that depend on the whole
+sequence (the revealed count, credulous flips) are computed over all n
+positions first, nearest revealed neighbours by binary search over the
+revealed positions. Nothing checks that `rows` are masked: `decode` passes
+them so, and a check would cost a gather per call.
 `prepare` checks a run's inputs once and builds its context, precomputing
 what stays constant over the run: for the oracle with an embedding bonus,
 its whole output at masked rows, tabulated by (revealed count, position)
 from the same float operations a call would run, so a call gathers two
 entries per row instead of recomputing them. The tables have (n + 1) * n
 entries each and are built only within a fixed budget; above it the oracle
-runs those operations per call. `decoder.rows_denoiser` turns a callable
-that returns probability rows into a denoiser.
+runs those operations per call.
 
 The two denoisers keep the names `noisy_oracle_logits` and `markov_logits`,
 though they return neither logits nor rows: the benchmark's tracer
@@ -225,7 +226,7 @@ def _uniform_best(hi: float, lo: float, intended: np.ndarray) -> np.ndarray:
     return np.zeros(len(intended), dtype=np.int64)
 
 
-def noisy_oracle_logits(state: DiffusionState, ctx: DenoiseContext, rows=None, held_rows=None):
+def noisy_oracle_logits(state: DiffusionState, ctx: DenoiseContext, rows, held_rows):
     """(best, conf, held) of the context-gain oracle's probability rows.
 
     Per-position confidence is hi = min(c_max, c0 + gamma * r / n) where r
@@ -242,16 +243,13 @@ def noisy_oracle_logits(state: DiffusionState, ctx: DenoiseContext, rows=None, h
     With the bonus, r and the position fix every masked row's (best, conf),
     so the rows are read from the context's `bonus_best`/`bonus_conf`
     tables at r (with credulous flips choosing the flipped-target `best`),
-    or computed per call for a sequence above the table budget. A revealed
-    row (decode asks for none; other callers may) and a held position are
-    never masked, so they carry no bonus and get the plain hi and lo.
+    or computed per call for a sequence above the table budget. A held
+    position is revealed, so it carries no bonus and gets the plain hi or lo.
     """
     params: NoisyOracleParams = ctx.params
     if ctx.levels is None:
         raise ValueError("context has no confidence levels; build it with prepare")
-    V, mask_id, tokens, target = state.vocab.size, state.vocab.mask_id, state.tokens, ctx.target
-    if rows is None:
-        rows = np.arange(len(tokens))
+    V, tokens, target = state.vocab.size, state.tokens, ctx.target
 
     flip = None
     if params.mode == "faithful":
@@ -259,7 +257,7 @@ def noisy_oracle_logits(state: DiffusionState, ctx: DenoiseContext, rows=None, h
         # holds its target token is a correct reveal.
         r = np.count_nonzero(tokens == target)
     else:
-        revealed = tokens != mask_id
+        revealed = tokens != state.vocab.mask_id
         r = np.count_nonzero(revealed)
         wrong = (revealed & (tokens != target)).astype(np.float64)
         revealed_in_window = _window_sums(revealed.astype(np.float64), params.window)
@@ -278,51 +276,41 @@ def noisy_oracle_logits(state: DiffusionState, ctx: DenoiseContext, rows=None, h
             best, conf = _bonus_rows(hi, ctx.bonus[rows], target[rows], V, params.c_max)
         else:
             raise ValueError("context has no embedding bonus; build it with prepare from the overridden state")
-        # Both forms give every requested row the bonus; a revealed row
-        # earns none.
-        revealed_rows = tokens[rows] != mask_id
-        if np.count_nonzero(revealed_rows):
-            best[revealed_rows] = _uniform_best(hi, lo, target[rows[revealed_rows]])
-            conf[revealed_rows] = max(hi, lo)
     else:
         best, conf = _uniform_best(hi, lo, target[rows]), np.full(len(rows), max(hi, lo))
 
     held = _NO_HELD
-    if held_rows is not None and len(held_rows):
+    if len(held_rows):
         held = np.where(tokens[held_rows] == target[held_rows], hi, lo)
     return best, conf, held
 
 
-def markov_logits(state: DiffusionState, ctx: DenoiseContext, rows=None, held_rows=None):
+def markov_logits(state: DiffusionState, ctx: DenoiseContext, rows, held_rows):
     """(best, conf, held) of a bigram mixture conditioned on the nearest
     revealed tokens.
 
     Each row is 0.5 * P(. | nearest revealed token to the left) plus
     0.5 * P_reverse(. | nearest revealed token to the right); a side with no
-    revealed token contributes the unigram instead. Fixed positions use the
-    same formula (their own token excluded from "nearest"). The requested
-    rows are gathered and reduced; a held position's entry is the same
-    single float add, read at its token.
+    revealed token contributes the unigram instead. The masked rows are
+    gathered and reduced; a held position's entry is the same single float
+    add, read at its token, with its own token excluded from "nearest".
     """
     model: BigramModel = ctx.params
     tokens, mask_id = state.tokens, state.vocab.mask_id
-    if rows is None:
-        rows = np.arange(len(tokens))
     # The revealed tokens in position order, padded at both ends with the
     # mask id (whose table row is the unigram) for "none". i revealed
-    # positions lie strictly left of a row and j at or left of it, so its
-    # neighbours are ext[i] and ext[j + 1], never a fixed row's own token.
+    # positions lie left of a masked row, so its neighbours are ext[i] and
+    # ext[i + 1].
     revealed = (tokens != mask_id).nonzero()[0]
     ext = np.full(len(revealed) + 2, mask_id)
     ext[1:-1] = tokens[revealed]
-    before = ext[revealed.searchsorted(rows)]
-    after = ext[1:][revealed.searchsorted(rows, "right")]
-    gathered = model.half_next_table[before] + model.half_prev_table[after]
+    i = revealed.searchsorted(rows)
+    gathered = model.half_next_table[ext[i]] + model.half_prev_table[ext[i + 1]]
     best = gathered.argmax(axis=1)
     conf = gathered[np.arange(len(rows)), best]
 
     held = _NO_HELD
-    if held_rows is not None and len(held_rows):
+    if len(held_rows):
         # A held position is revealed[j] itself, so its neighbours are
         # ext[j] and ext[j + 2].
         j = revealed.searchsorted(held_rows)

@@ -2,14 +2,18 @@
 `markov_logits` had when they returned len(rows) x V rows.
 
 Each is a callable `(state, ctx, rows=None)` over a context from
-`warmdiff.denoiser.prepare`, for the tests that read row contents.
-`warmdiff.decoder.rows_denoiser` of each must equal the library denoiser bit
-for bit (`tests/test_denoiser_equivalence.py`), and the per-position loops
-there tie these rows in turn to the model definitions.
+`warmdiff.denoiser.prepare`, for the tests that read row contents; it
+builds the row of any position, masked or revealed (None for all n).
+`rows_denoiser` turns such a callable into a denoiser with the library's
+contract: asked for the masked rows and the held (still-injected) rows,
+both required, it must give what the library denoiser gives, bit for bit
+(`tests/test_denoiser_equivalence.py`), and the per-position loops there
+tie these rows in turn to the model definitions.
 """
 
 import numpy as np
 
+from warmdiff.decoder import confidences
 from warmdiff.denoiser import _window_sums
 
 
@@ -58,6 +62,32 @@ def markov_rows(state, ctx, rows=None):
     before = ext[revealed.searchsorted(rows)]
     after = ext[1:][revealed.searchsorted(rows, "right")]
     return model.half_next_table[before] + model.half_prev_table[after]
+
+
+NO_HELD = np.empty(0, dtype=np.int64)
+
+
+def masked_rows(state):
+    """The masked positions, ascending: the `rows` decode passes."""
+    return state.masked().nonzero()[0]
+
+
+def rows_denoiser(fn):
+    """The denoiser that reads `fn(state, ctx, rows) -> len(rows) x V
+    probability rows`: it asks `fn` once for the union of `rows` (the
+    masked positions) and `held_rows` (held positions), ascending, reduces
+    the masked rows with `confidences` and reads each held position's row at
+    the token it holds. Non-finite rows raise ValueError."""
+
+    def denoiser(state, ctx, rows, held_rows):
+        live = np.union1d(rows, held_rows)
+        pi = fn(state, ctx, live)
+        if not np.isfinite(pi).all():
+            raise ValueError("denoiser returned non-finite probabilities")
+        best, conf = confidences(pi[live.searchsorted(rows)])
+        return best, conf, pi[live.searchsorted(held_rows), state.tokens[held_rows]]
+
+    return denoiser
 
 
 def reference_rows(kind):

@@ -15,10 +15,10 @@ import numpy as np
 
 from nfe_law import exact_mean_nfe
 from reference_decoder import reference_decode
-from reference_rows import reference_rows
+from reference_rows import reference_rows, rows_denoiser
 from warmdiff.bigram import BigramModel
 from warmdiff.core import DeterministicRng, DiffusionState, Vocabulary, all_mask_init, softmax
-from warmdiff.decoder import DecodeConfig, decode, remask_rates, rows_denoiser
+from warmdiff.decoder import DecodeConfig, decode, remask_rates
 from warmdiff.denoiser import NoisyOracleParams, prepare
 from warmdiff.harness import (
     build_config,

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference_decoder import reference_decode, reference_select_unmask
-from reference_rows import oracle_rows
+from reference_rows import oracle_rows, rows_denoiser
 from warmdiff.core import DeterministicRng, DiffusionState, EmbeddingTable, Vocabulary, all_mask_init
 from warmdiff.decoder import (
     DecodeConfig,
@@ -12,7 +12,6 @@ from warmdiff.decoder import (
     confidences,
     decode,
     remask_rates,
-    rows_denoiser,
     select_unmask,
 )
 from warmdiff.denoiser import NoisyOracleParams, noisy_oracle_logits, prepare

@@ -7,7 +7,7 @@ from warmdiff.bigram import BigramModel
 from warmdiff.core import DeterministicRng, DiffusionState, EmbeddingTable, Vocabulary, all_mask_init
 from warmdiff.denoiser import NoisyOracleParams, noisy_oracle_logits, prepare
 
-from reference_rows import markov_rows, oracle_rows, out_bytes
+from reference_rows import NO_HELD, markov_rows, masked_rows, oracle_rows, out_bytes
 
 
 def oracle_ctx(target, state, **kw):
@@ -23,7 +23,7 @@ class TestContracts:
         v = Vocabulary(5)
         state = all_mask_init(v, 3)
         ctx = oracle_ctx([0, 1, 2], state)
-        best, conf, held = noisy_oracle_logits(state, ctx)
+        best, conf, held = noisy_oracle_logits(state, ctx, masked_rows(state), NO_HELD)
         assert best.shape == conf.shape == (3,) and held.shape == (0,)
         assert best.dtype == np.int64 and conf.dtype == held.dtype == np.float64
         assert oracle_rows(state, ctx).shape == (3, 5)
@@ -32,15 +32,15 @@ class TestContracts:
         v = Vocabulary(4)
         state = DiffusionState(vocab=v, tokens=np.array([0, 4, 2]))
         ctx = oracle_ctx([0, 1, 2], state, mode="credulous")
-        a = noisy_oracle_logits(state, ctx, None, np.array([0, 2]))
-        b = noisy_oracle_logits(state, ctx, None, np.array([0, 2]))
+        a = noisy_oracle_logits(state, ctx, masked_rows(state), np.array([0, 2]))
+        b = noisy_oracle_logits(state, ctx, masked_rows(state), np.array([0, 2]))
         assert out_bytes(a) == out_bytes(b)
 
     def test_fully_masked_state_still_yields_full_matrix(self):
         v = Vocabulary(3)
         state = all_mask_init(v, 4)
         ctx = oracle_ctx([0, 1, 2, 0], state)
-        best, conf, _ = noisy_oracle_logits(state, ctx)
+        best, conf, _ = noisy_oracle_logits(state, ctx, masked_rows(state), NO_HELD)
         assert best.shape == conf.shape == (4,)
         assert np.isfinite(conf).all()
         out = oracle_rows(state, ctx)
@@ -91,7 +91,10 @@ class TestNoisyOracle:
         ints = oracle_ctx(target, state, c0=0, gamma=1, c_max=1)
         assert floats.levels.tobytes() == scalars.levels.tobytes()
         assert ints.levels.tolist() == [r / 6 for r in range(7)]
-        assert out_bytes(noisy_oracle_logits(state, floats)) == out_bytes(noisy_oracle_logits(state, scalars))
+        rows = masked_rows(state)
+        assert out_bytes(noisy_oracle_logits(state, floats, rows, NO_HELD)) == out_bytes(
+            noisy_oracle_logits(state, scalars, rows, NO_HELD)
+        )
         assert oracle_rows(state, floats).tobytes() == oracle_rows(state, scalars).tobytes()
 
     def test_confidence_grows_with_correct_reveals(self):
@@ -202,7 +205,7 @@ class TestEmbeddingBonus:
         out = self.probs(state, table, eta=0.9)
         assert np.isfinite(out).all()
         denoiser, ctx = prepare("noisy-oracle", self.target, NoisyOracleParams(eta=0.9), state, table)
-        assert np.isfinite(denoiser(state, ctx)[1]).all()
+        assert np.isfinite(denoiser(state, ctx, masked_rows(state), NO_HELD)[1]).all()
 
 
 class TestParamValidation:

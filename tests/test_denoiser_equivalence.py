@@ -6,9 +6,11 @@ bonus recomputed per masked position on every call, and the bigram mixture
 read row by row from the smoothing formulas with left/right scans in
 Python. `prepare` + the library denoisers must give the bytes that
 `rows_denoiser` reads from these rows (argmax, confidence and held-token
-probability) on every input, for all rows and for any subset of them, with
-any revealed positions held. The markov proposer must draw what a per-row
-inverse-CDF sampler draws.
+probability) on every input. A denoiser answers only decode's call, so each
+is asked for the masked positions, all of them or any subset, with any
+revealed positions held; the reference rows themselves are checked at every
+position, revealed ones included. The markov proposer must draw what a
+per-row inverse-CDF sampler draws.
 """
 
 from dataclasses import replace
@@ -23,12 +25,12 @@ from hypothesis import strategies as st
 import warmdiff.denoiser
 from warmdiff.bigram import BigramModel
 from warmdiff.core import DeterministicRng, DiffusionState, EmbeddingTable, Vocabulary, all_mask_init
-from warmdiff.decoder import DecodeConfig, decode, rows_denoiser
+from warmdiff.decoder import DecodeConfig, decode
 from warmdiff.denoiser import DenoiseContext, NoisyOracleParams, markov_logits, noisy_oracle_logits, prepare
-from warmdiff.proposal import propose_markov
-from warmdiff.warmstart import inject_tokens, interpolate_embeddings
+from warmdiff.proposal import propose_corrupted, propose_markov
+from warmdiff.warmstart import METHODS, WarmStartConfig, inject_tokens, interpolate_embeddings, warm_init
 
-from reference_rows import markov_rows, oracle_rows, out_bytes, reference_rows
+from reference_rows import NO_HELD, markov_rows, masked_rows, oracle_rows, out_bytes, reference_rows, rows_denoiser
 
 
 def ref_cosine(u, v):
@@ -122,9 +124,13 @@ def problems(draw):
     return state, target, table
 
 
-def row_subsets(n):
-    """Ascending int64 positions, as decode passes them; possibly empty."""
-    return st.sets(st.integers(0, n - 1)).map(lambda rows: np.array(sorted(rows), dtype=np.int64))
+def masked_subsets(state):
+    """All masked positions or a drawn subset of them, ascending int64;
+    possibly empty."""
+    masked = masked_rows(state)
+    return st.just(masked) | st.sets(st.sampled_from(masked.tolist()) if len(masked) else st.nothing()).map(
+        lambda rows: np.array(sorted(rows), dtype=np.int64)
+    )
 
 
 def held_subsets(state):
@@ -153,12 +159,10 @@ def bigram_models(draw, V):
     if draw(st.booleans()):
         seqs = draw(st.lists(st.lists(st.integers(0, V - 1), min_size=1, max_size=8), min_size=1, max_size=4))
         return BigramModel.fit(seqs, V)
-    # Direct construction with non-integer counts, with and without token counts.
+    # Direct construction with non-integer counts.
     counts = np.array(draw(st.lists(st.floats(0.0, 50.0), min_size=V * V, max_size=V * V))).reshape(V, V)
     counts[0, 0] += 0.1  # at least one count
-    token_counts = None
-    if draw(st.booleans()):
-        token_counts = np.array(draw(st.lists(st.floats(0.0, 50.0), min_size=V, max_size=V)))
+    token_counts = np.array(draw(st.lists(st.floats(0.0, 50.0), min_size=V, max_size=V)))
     return BigramModel(V, counts, token_counts=token_counts)
 
 
@@ -171,9 +175,10 @@ def test_oracle_matches_per_position_loop(problem, params, data):
     full = reference_oracle(state, target, params, table)
     expected = via_rows(lambda s: reference_oracle(s, target, params, table))
     held = data.draw(held_subsets(state))
-    assert out_bytes(denoiser(state, ctx, None, held)) == out_bytes(expected(state, ctx, None, held))
+    rows = masked_rows(state)
+    assert out_bytes(denoiser(state, ctx, rows, held)) == out_bytes(expected(state, ctx, rows, held))
     assert oracle_rows(state, ctx).tobytes() == full.tobytes()
-    rows = data.draw(row_subsets(len(target)))
+    rows = data.draw(masked_subsets(state))
     assert out_bytes(denoiser(state, ctx, rows, held)) == out_bytes(expected(state, ctx, rows, held))
     assert oracle_rows(state, ctx, rows).tobytes() == full[rows].tobytes()
 
@@ -255,9 +260,8 @@ def test_bonus_tables_match_the_reference_rows_at_every_revealed_count(problem, 
     fewer). Positions are revealed one at a time in a drawn order, first with
     their target tokens, so r takes every value in 0..n in both modes, then
     with drawn tokens, so credulous intents flip. Each state is asked for
-    all rows, its masked rows (as decode asks) and a drawn row set that may
-    hold revealed positions, with drawn held rows. eta up to 50 drives
-    hi + bonus below 0 and above c_max."""
+    its masked rows (as decode asks) and a drawn subset of them, with drawn
+    held rows. eta up to 50 drives hi + bonus below 0 and above c_max."""
     state, target, table = problem
     n, V, mask_id = len(target), state.vocab.size, state.vocab.mask_id
     params = replace(params, eta=data.draw(st.sampled_from([0.5, 50.0]) | st.floats(0.0, 50.0, exclude_min=True)))
@@ -276,7 +280,7 @@ def test_bonus_tables_match_the_reference_rows_at_every_revealed_count(problem, 
                 tokens[order[:k]] = source[order[:k]]
                 at_k = DiffusionState(vocab=state.vocab, tokens=tokens, embedding_override=state.embedding_override)
                 held = data.draw(held_subsets(at_k))
-                for rows in (None, (tokens == mask_id).nonzero()[0], data.draw(row_subsets(n))):
+                for rows in (masked_rows(at_k), data.draw(masked_subsets(at_k))):
                     got = denoiser(at_k, ctx, rows, held)
                     assert out_bytes(got) == out_bytes(expected(at_k, ctx, rows, held))
 
@@ -304,14 +308,15 @@ def test_bonus_ties_at_the_uniform_level(budget, mode):
     with mock.patch.object(warmdiff.denoiser, "_BONUS_TABLE_ENTRIES", budget):
         denoiser, ctx = prepare("noisy-oracle", target, params, state, table)
         assert (ctx.bonus_conf is None) == (budget == 41)
-        best, conf, _ = got = denoiser(state, ctx)
+        rows = masked_rows(state)
+        best, conf, _ = got = denoiser(state, ctx, rows, NO_HELD)
         assert best.tolist() == [0, 0, 0, 0, 0, 1]
         assert conf.tolist() == [0.25, 0.25, 1 / 3, 0.25, 0.25, 1 / 3]
-        assert out_bytes(got) == out_bytes(rows_denoiser(oracle_rows)(state, ctx))
+        assert out_bytes(got) == out_bytes(rows_denoiser(oracle_rows)(state, ctx, rows, NO_HELD))
         state.tokens[[1, 2]] = [1, 3]  # one correct reveal, one wrong one
-        held = np.array([1, 2])
-        expected = rows_denoiser(oracle_rows)(state, ctx, None, held)
-        assert out_bytes(denoiser(state, ctx, None, held)) == out_bytes(expected)
+        rows, held = masked_rows(state), np.array([1, 2])
+        expected = rows_denoiser(oracle_rows)(state, ctx, rows, held)
+        assert out_bytes(denoiser(state, ctx, rows, held)) == out_bytes(expected)
 
 
 def test_bonus_tables_stop_at_the_entry_budget():
@@ -338,10 +343,9 @@ def test_bonus_tables_stop_at_the_entry_budget():
                 tokens[: k : 2] = target[: k : 2]
                 tokens[1 : k : 2] = (target[1 : k : 2] + 3) % 8
                 at = DiffusionState(vocab=state.vocab, tokens=tokens, embedding_override=state.embedding_override)
-                held = (tokens != 8).nonzero()[0]
-                for rows in (None, (tokens == 8).nonzero()[0]):
-                    expected = rows_denoiser(oracle_rows)(at, ctx, rows, held)
-                    assert out_bytes(denoiser(at, ctx, rows, held)) == out_bytes(expected)
+                rows, held = masked_rows(at), (tokens != 8).nonzero()[0]
+                expected = rows_denoiser(oracle_rows)(at, ctx, rows, held)
+                assert out_bytes(denoiser(at, ctx, rows, held)) == out_bytes(expected)
 
 
 @settings(max_examples=300, deadline=None)
@@ -354,21 +358,23 @@ def test_markov_matches_per_position_loop(data):
     full = reference_markov(state, model)
     expected = via_rows(lambda s: reference_markov(s, model))
     held = data.draw(held_subsets(state))
-    assert out_bytes(denoiser(state, ctx, None, held)) == out_bytes(expected(state, ctx, None, held))
+    rows = masked_rows(state)
+    assert out_bytes(denoiser(state, ctx, rows, held)) == out_bytes(expected(state, ctx, rows, held))
     assert markov_rows(state, ctx).tobytes() == full.tobytes()
-    rows = data.draw(row_subsets(len(target)))
+    rows = data.draw(masked_subsets(state))
     assert out_bytes(denoiser(state, ctx, rows, held)) == out_bytes(expected(state, ctx, rows, held))
     assert markov_rows(state, ctx, rows).tobytes() == full[rows].tobytes()
 
 
 @pytest.mark.parametrize("tokens", [[3, 3, 3, 3], [0, 3, 3, 3], [3, 3, 3, 2], [1, 3, 3, 0], [2]])
 def test_markov_with_no_reveal_on_a_side(tokens):
-    model = BigramModel(3, np.arange(9, dtype=float).reshape(3, 3) / 7.0)
+    counts = np.arange(9, dtype=float).reshape(3, 3) / 7.0
+    model = BigramModel(3, counts, token_counts=counts.sum(axis=1))
     state = DiffusionState(vocab=Vocabulary(3), tokens=np.array(tokens))
     _, ctx = prepare("markov", [0] * len(tokens), model, state)
-    held = (state.tokens != 3).nonzero()[0]
+    rows, held = masked_rows(state), (state.tokens != 3).nonzero()[0]
     expected = via_rows(lambda s: reference_markov(s, model))
-    assert out_bytes(markov_logits(state, ctx, None, held)) == out_bytes(expected(state, ctx, None, held))
+    assert out_bytes(markov_logits(state, ctx, rows, held)) == out_bytes(expected(state, ctx, rows, held))
     assert markov_rows(state, ctx).tobytes() == reference_markov(state, model).tobytes()
 
 
@@ -411,7 +417,6 @@ def test_markov_matches_per_position_loop_on_edge_states(n, V):
         expected = via_rows(lambda s: reference_markov(s, model))
         rows, held = decode_rows(state.tokens, injected, V)
         assert out_bytes(markov_logits(state, ctx, rows, held)) == out_bytes(expected(state, ctx, rows, held))
-        assert out_bytes(markov_logits(state, ctx)) == out_bytes(expected(state, ctx))
         assert markov_rows(state, ctx).tobytes() == reference_markov(state, model).tobytes()
 
 
@@ -443,6 +448,43 @@ def test_markov_matches_per_position_loop_through_decode(shape, rho, seed):
     assert len(calls) == trace.nfe
 
 
+@pytest.mark.parametrize("remask", [False, True])
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("kind", ["noisy-oracle", "markov"])
+def test_decode_asks_for_the_masked_rows_and_holds_the_injected_ones(kind, method, remask):
+    """The contract the denoisers rely on: on every call decode passes the
+    masked positions as `rows` and the still-injected ones as `held_rows`
+    (none when remasking is off), and the library denoiser answers as the
+    reference rows do."""
+    n, V = 24, 8
+    vocab = Vocabulary(V)
+    model = model_at_scale(V, 3)
+    table = EmbeddingTable.random(vocab, 4, DeterministicRng(4))
+    params = model if kind == "markov" else NoisyOracleParams(c0=0.3, gamma=0.6, eta=0.5, mode="credulous")
+    expected = rows_denoiser(reference_rows(kind))
+    dcfg = DecodeConfig(tau=0.6, remask_enabled=remask, b0=0.4, lam=0.05)
+    for seed in range(4):
+        target = propose_markov(model, n, DeterministicRng(seed))
+        proposal = propose_corrupted(vocab, target, 0.4, DeterministicRng(seed + 10))
+        wcfg = WarmStartConfig(method=method, rho=0.5, alpha=0.7)
+        init = warm_init(vocab, proposal, table, wcfg, DeterministicRng(seed + 20))
+        denoiser, ctx = prepare(kind, target, params, init, table)
+        held_seen = []
+
+        def spy(state, ctx, rows, held_rows):
+            assert rows.tolist() == state.masked().nonzero()[0].tolist()
+            assert held_rows.tolist() == (state.injected.tolist() if remask else [])
+            out = denoiser(state, ctx, rows, held_rows)
+            assert out_bytes(out) == out_bytes(expected(state, ctx, rows, held_rows))
+            held_seen.append(len(held_rows))
+            return out
+
+        trace = decode(spy, ctx, init, dcfg, DeterministicRng(seed + 30))
+        assert len(held_seen) == trace.nfe >= 1
+        if remask and method == "token-injection":
+            assert max(held_seen) > 0
+
+
 @st.composite
 def reference_cases(draw):
     """(kind, denoiser, ctx, state, rows, held rows) over `problems`. Oracle
@@ -466,7 +508,7 @@ def reference_cases(draw):
         if pinned is not None:
             params = replace(params, c0=pinned, c_max=pinned)
     denoiser, ctx = prepare(kind, target, params, state, table)
-    return kind, denoiser, ctx, state, draw(st.none() | row_subsets(n)), draw(held_subsets(state))
+    return kind, denoiser, ctx, state, draw(masked_subsets(state)), draw(held_subsets(state))
 
 
 @settings(max_examples=500, deadline=None)
@@ -490,12 +532,15 @@ def test_oracle_at_and_around_the_uniform_level(level, best, mode):
     denoiser, ctx = prepare("noisy-oracle", [0, 1, 2, 3], params, state)
     pi = oracle_rows(state, ctx)
     assert (pi == pi[0, 0]).all() == (level == 0.25)
-    got = denoiser(state, ctx)
+    rows = masked_rows(state)
+    got = denoiser(state, ctx, rows, NO_HELD)
     assert got[0].tolist() == best == pi.argmax(axis=1).tolist()
-    assert out_bytes(got) == out_bytes(rows_denoiser(oracle_rows)(state, ctx))
+    assert out_bytes(got) == out_bytes(rows_denoiser(oracle_rows)(state, ctx, rows, NO_HELD))
     held = np.array([0, 2])
     state.tokens[held] = [0, 1]  # one holds its intended token, one does not
-    assert out_bytes(denoiser(state, ctx, None, held)) == out_bytes(rows_denoiser(oracle_rows)(state, ctx, None, held))
+    rows = masked_rows(state)
+    expected = rows_denoiser(oracle_rows)(state, ctx, rows, held)
+    assert out_bytes(denoiser(state, ctx, rows, held)) == out_bytes(expected)
 
 
 @settings(max_examples=100, deadline=None)
@@ -556,7 +601,7 @@ def test_markov_proposal_at_the_ends_of_the_unit_interval_and_on_cdf_ties(data):
 
 # Each check the denoisers used to run on every call now runs once, in prepare.
 V3 = Vocabulary(3)
-MODEL3 = BigramModel(3, np.ones((3, 3)))
+MODEL3 = BigramModel(3, np.ones((3, 3)), np.full(3, 3.0))
 OVERRIDDEN = DiffusionState(vocab=V3, tokens=np.array([3, 3]), embedding_override=np.ones((2, 2)))
 
 
@@ -570,7 +615,7 @@ OVERRIDDEN = DiffusionState(vocab=V3, tokens=np.array([3, 3]), embedding_overrid
         ("noisy-oracle", [0, 1], NoisyOracleParams(eta=0.5), OVERRIDDEN),  # missing table
         ("markov", [0, 1], NoisyOracleParams(), all_mask_init(V3, 2)),  # params type
         ("noisy-oracle", [0, 1], MODEL3, all_mask_init(V3, 2)),  # params type
-        ("markov", [0, 1], BigramModel(2, np.ones((2, 2))), all_mask_init(V3, 2)),  # bigram vocabulary
+        ("markov", [0, 1], BigramModel(2, np.ones((2, 2)), np.full(2, 2.0)), all_mask_init(V3, 2)),  # bigram vocabulary
         ("bigram", [0, 1], MODEL3, all_mask_init(V3, 2)),  # kind
     ],
 )
@@ -584,7 +629,7 @@ def test_override_without_a_prepared_bonus_raises():
     denoiser, ctx = prepare("noisy-oracle", [0, 1], NoisyOracleParams(eta=0.5), all_mask_init(V3, 2))
     assert ctx.bonus is None
     with pytest.raises(ValueError):
-        denoiser(OVERRIDDEN, ctx)
+        denoiser(OVERRIDDEN, ctx, masked_rows(OVERRIDDEN), NO_HELD)
 
 
 def test_context_with_a_bonus_but_no_tables_raises():
@@ -595,10 +640,12 @@ def test_context_with_a_bonus_but_no_tables_raises():
     assert ctx.bonus_conf is not None
     by_hand = DenoiseContext(target=target, params=ctx.params, levels=ctx.levels, bonus=ctx.bonus)
     with pytest.raises(ValueError, match="build it with prepare"):
-        noisy_oracle_logits(state, by_hand)
+        noisy_oracle_logits(state, by_hand, masked_rows(state), NO_HELD)
 
 
 def test_context_built_by_hand_raises():
     """Without `prepare` the oracle has no exact confidence levels to read."""
     with pytest.raises(ValueError, match="levels"):
-        noisy_oracle_logits(all_mask_init(V3, 2), DenoiseContext(target=[0, 1], params=NoisyOracleParams()))
+        state = all_mask_init(V3, 2)
+        by_hand = DenoiseContext(target=[0, 1], params=NoisyOracleParams())
+        noisy_oracle_logits(state, by_hand, masked_rows(state), NO_HELD)

@@ -68,7 +68,7 @@ def chain_model(num_tokens=4, weight=1e9):
     counts = np.zeros((num_tokens, num_tokens))
     for a in range(num_tokens):
         counts[a, (a + 1) % num_tokens] = weight
-    return BigramModel(num_tokens, counts)
+    return BigramModel(num_tokens, counts, np.full(num_tokens, weight))
 
 
 class TestMarkovProposer:
