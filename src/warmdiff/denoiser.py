@@ -14,13 +14,15 @@ sequence (the revealed count, credulous flips) are computed over all n
 positions first, nearest revealed neighbours by binary search over the
 revealed positions. Nothing checks that `rows` are masked: `decode` passes
 them so, and a check would cost a gather per call.
-`prepare` checks a run's inputs once and builds its context, precomputing
-what stays constant over the run: for the oracle with an embedding bonus,
-its whole output at masked rows, tabulated by (revealed count, position)
-from the same float operations a call would run, so a call gathers two
-entries per row instead of recomputing them. The tables have (n + 1) * n
-entries each and are built only within a fixed budget; above it the oracle
-runs those operations per call.
+`prepare` picks the denoiser from the type of its params, checks a run's
+inputs once and builds the context. The markov denoiser's context is its
+`BigramModel`, whose tables are built with it. The oracle's is a
+`DenoiseContext`, precomputing what stays constant over the run: with an
+embedding bonus, its whole output at masked rows, tabulated by (revealed
+count, position) from the same float operations a call would run, so a
+call gathers two entries per row instead of recomputing them. The tables
+have (n + 1) * n entries each and are built only within a fixed budget;
+above it the oracle runs those operations per call.
 
 The two denoisers keep the names `noisy_oracle_logits` and `markov_logits`,
 though they return neither logits nor rows: the benchmark's tracer
@@ -62,33 +64,24 @@ _NO_HELD.flags.writeable = False
 
 @dataclass(frozen=True, eq=False)
 class DenoiseContext:
-    """Planted ground-truth target (the prompt-determined answer) plus the
-    model-specific parameters: NoisyOracleParams or a BigramModel. The oracle
-    reads tables that `prepare` sets: `levels[r]`, its confidence when r
-    revealed positions count as context; `bonus`, its per-position embedding
-    bonus where that applies; and, where the bonus applies and (n + 1) * n
-    is within `_BONUS_TABLE_ENTRIES`, its output at a masked position p
-    when r positions count: `bonus_conf[r, p]`, and `bonus_best[0, r, p]`
-    for the target token intended, `bonus_best[1, r, p]` (credulous mode
-    only) for the flipped one. Each entry is computed by the same
-    elementwise float operations as a call without the tables, so reading
-    it is exact.
+    """The oracle's per-run context, as `prepare` builds it: the planted
+    ground-truth target (the prompt-determined answer), its parameters and
+    `levels[r]`, its confidence when r revealed positions count as context.
+    Where the embedding bonus applies it also holds `bonus`, the bonus per
+    position, and, where (n + 1) * n is within `_BONUS_TABLE_ENTRIES`, the
+    output at a masked position p when r positions count: `bonus_conf[r, p]`,
+    and `bonus_best[0, r, p]` for the target token intended,
+    `bonus_best[1, r, p]` (credulous mode only) for the flipped one. Each
+    entry is computed by the same elementwise float operations as a call
+    without the tables, so reading it is exact.
     """
 
     target: np.ndarray
-    params: object
-    levels: np.ndarray | None = None
+    params: NoisyOracleParams
+    levels: np.ndarray
     bonus: np.ndarray | None = None
     bonus_best: np.ndarray | None = None
     bonus_conf: np.ndarray | None = None
-
-    def __post_init__(self):
-        target = np.asarray(self.target, dtype=np.int64)
-        object.__setattr__(self, "target", target)
-        if target.ndim != 1 or target.size == 0:
-            raise ValueError("target must be a non-empty 1-d array")
-        if (target < 0).any():
-            raise ValueError("target tokens must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -149,24 +142,22 @@ def _window_sums(values: np.ndarray, window: int) -> np.ndarray:
     return cum[hi] - cum[lo]
 
 
-def prepare(kind: str, target, params, init: DiffusionState, table: EmbeddingTable | None = None):
-    """The denoiser of `kind` ("noisy-oracle" or "markov") and its context for a
-    run that starts from `init`, after every check the denoiser relies on."""
-    ctx = DenoiseContext(target=target, params=params)
-    if len(ctx.target) != len(init.tokens):
-        raise ValueError(f"target length {len(ctx.target)} does not match state length {len(init.tokens)}")
-    if (ctx.target >= init.vocab.size).any():
+def prepare(target, params, init: DiffusionState, table: EmbeddingTable | None = None):
+    """The denoiser that `params` picks and its context for a run that starts
+    from `init`, after every check the denoiser relies on: a `BigramModel`
+    gives `markov_logits` with the model itself as its context,
+    `NoisyOracleParams` give `noisy_oracle_logits` with a `DenoiseContext`."""
+    target = np.asarray(target, dtype=np.int64)
+    if target.shape != init.tokens.shape:
+        raise ValueError(f"target of shape {target.shape} does not match the state's length {len(init.tokens)}")
+    if ((target < 0) | (target >= init.vocab.size)).any():
         raise ValueError("target contains token ids outside the vocabulary")
-    if kind == "markov":
-        if not isinstance(params, BigramModel):
-            raise ValueError("the markov denoiser expects a BigramModel")
+    if isinstance(params, BigramModel):
         if params.num_tokens != init.vocab.size:
             raise ValueError("bigram model vocabulary does not match the state vocabulary")
-        return markov_logits, ctx
-    if kind != "noisy-oracle":
-        raise ValueError(f"unknown denoiser kind {kind!r}")
+        return markov_logits, params
     if not isinstance(params, NoisyOracleParams):
-        raise ValueError("the noisy oracle expects NoisyOracleParams")
+        raise ValueError("denoiser params must be NoisyOracleParams or a BigramModel")
     bonus, override = None, init.embedding_override
     if override is not None and params.eta > 0.0:
         if table is None:
@@ -184,27 +175,22 @@ def prepare(kind: str, target, params, init: DiffusionState, table: EmbeddingTab
         bonus = np.array(
             [
                 0.0 if drop else params.eta * (_cosine(u, rows[t], _norm(u), norms[t]) - mask_cos[t])
-                for u, t, drop in zip(override, ctx.target.tolist(), dropped.tolist())
+                for u, t, drop in zip(override, target.tolist(), dropped.tolist())
             ]
         )
-    levels = _levels(params.c0, params.gamma, params.c_max, len(ctx.target))
+    n = len(target)
+    levels = _levels(params.c0, params.gamma, params.c_max, n)
     tables = {}
-    if bonus is not None and _tabulates(len(ctx.target)):
+    if bonus is not None and (n + 1) * n <= _BONUS_TABLE_ENTRIES:
         # Every (revealed count, position) entry of the masked rows' output,
         # from the same elementwise operations as a call above the budget.
         # Credulous mode stacks a second intent, the flipped target, which
         # shares the clip and conf and differs only in `best`.
         V = init.vocab.size
-        intents = [ctx.target] if params.mode == "faithful" else [ctx.target, (ctx.target + 1) % V]
+        intents = [target] if params.mode == "faithful" else [target, (target + 1) % V]
         best, conf = _bonus_rows(levels[:, None], bonus, np.stack(intents)[:, None], V, params.c_max)
         tables = {"bonus_best": best, "bonus_conf": conf}
-    ctx = DenoiseContext(target=ctx.target, params=params, levels=levels, bonus=bonus, **tables)
-    return noisy_oracle_logits, ctx
-
-
-def _tabulates(n: int) -> bool:
-    """Whether `prepare` tabulates the bonus for a sequence of n positions."""
-    return (n + 1) * n <= _BONUS_TABLE_ENTRIES
+    return noisy_oracle_logits, DenoiseContext(target, params, levels, bonus, **tables)
 
 
 def _bonus_rows(hi, bonus, intended, V: int, c_max: float):
@@ -242,13 +228,12 @@ def noisy_oracle_logits(state: DiffusionState, ctx: DenoiseContext, rows, held_r
 
     With the bonus, r and the position fix every masked row's (best, conf),
     so the rows are read from the context's `bonus_best`/`bonus_conf`
-    tables at r (with credulous flips choosing the flipped-target `best`),
-    or computed per call for a sequence above the table budget. A held
-    position is revealed, so it carries no bonus and gets the plain hi or lo.
+    tables at r where it holds them (with credulous flips choosing the
+    flipped-target `best`), and otherwise computed per call from its
+    `bonus`; both give the same bytes. A held position is revealed, so it
+    carries no bonus and gets the plain hi or lo.
     """
-    params: NoisyOracleParams = ctx.params
-    if ctx.levels is None:
-        raise ValueError("context has no confidence levels; build it with prepare")
+    params = ctx.params
     V, tokens, target = state.vocab.size, state.tokens, ctx.target
 
     flip = None
@@ -272,7 +257,7 @@ def noisy_oracle_logits(state: DiffusionState, ctx: DenoiseContext, rows, held_r
             best, conf = ctx.bonus_best[0, r][rows], ctx.bonus_conf[r][rows]
             if flip is not None:
                 best = np.where(flip[rows], ctx.bonus_best[1, r][rows], best)
-        elif ctx.bonus is not None and not _tabulates(len(tokens)):
+        elif ctx.bonus is not None:
             best, conf = _bonus_rows(hi, ctx.bonus[rows], target[rows], V, params.c_max)
         else:
             raise ValueError("context has no embedding bonus; build it with prepare from the overridden state")
@@ -285,7 +270,7 @@ def noisy_oracle_logits(state: DiffusionState, ctx: DenoiseContext, rows, held_r
     return best, conf, held
 
 
-def markov_logits(state: DiffusionState, ctx: DenoiseContext, rows, held_rows):
+def markov_logits(state: DiffusionState, model: BigramModel, rows, held_rows):
     """(best, conf, held) of a bigram mixture conditioned on the nearest
     revealed tokens.
 
@@ -293,9 +278,9 @@ def markov_logits(state: DiffusionState, ctx: DenoiseContext, rows, held_rows):
     0.5 * P_reverse(. | nearest revealed token to the right); a side with no
     revealed token contributes the unigram instead. The masked rows are
     gathered and reduced; a held position's entry is the same single float
-    add, read at its token, with its own token excluded from "nearest".
+    add, read at its token, with its own token excluded from "nearest". The
+    context is the model itself.
     """
-    model: BigramModel = ctx.params
     tokens, mask_id = state.tokens, state.vocab.mask_id
     # The revealed tokens in position order, padded at both ends with the
     # mask id (whose table row is the unigram) for "none". i revealed

@@ -58,9 +58,10 @@ class InvariantViolation(RuntimeError):
     """A decode trace broke one of the runtime invariants."""
 
 
-# Largest embedding table ((vocab_size + 1) x embed_dim) and probability
-# matrix (n x vocab_size) a config may ask for, in entries: far above any
-# study this engine is for, and far below what exhausts memory or time.
+# Most entries a config may ask for in its embedding table ((vocab_size + 1)
+# x embed_dim) and in n x vocab_size, which bounds the rows the markov
+# denoiser gathers per call (len(rows) x vocab_size, at most n rows): far
+# above any study this engine is for, far below what exhausts memory or time.
 MAX_ENTRIES = 2**24
 
 # ---------------------------------------------------------------------------
@@ -251,7 +252,7 @@ def build_config(overrides: dict) -> ExperimentConfig:
     if (values["vocab_size"] + 1) * values["embed_dim"] > MAX_ENTRIES:
         raise ConfigError(f"(vocab_size + 1) * embed_dim must be <= {MAX_ENTRIES} embedding entries")
     if n * values["vocab_size"] > MAX_ENTRIES:
-        raise ConfigError(f"n * vocab_size must be <= {MAX_ENTRIES} probability entries")
+        raise ConfigError(f"n * vocab_size must be <= {MAX_ENTRIES} denoiser row entries")
     if values["target_source"] not in ("uniform", "corpus"):
         raise ConfigError("target_source must be 'uniform' or 'corpus'")
     if values["denoiser.kind"] not in ("noisy-oracle", "markov"):
@@ -437,7 +438,7 @@ def run_one(
         init = warm_init(vocab, prop, resources.table, cfg.warmstart, rng)
 
     params = cfg.oracle if cfg.denoiser_kind == "noisy-oracle" else resources.bigram
-    denoiser, ctx = prepare(cfg.denoiser_kind, target, params, init, resources.table)
+    denoiser, ctx = prepare(target, params, init, resources.table)
     trace = decode(denoiser, ctx, init, cfg.decode, rng)
     result = RunResult(
         run=run_index,
@@ -585,8 +586,9 @@ def check_trace_invariants(trace: DecodeTrace, init: DiffusionState) -> list[str
     Checks that the columns line up, progress (>= 1 unmask per iteration),
     masked-count bookkeeping, unmask-only behavior for model-decoded
     positions, one-shot remasking restricted to initially injected
-    positions, the n + |I| termination bound, and NFE accounting. Returns a
-    list of problems (empty = clean).
+    positions, the n + |I| termination bound, NFE accounting, and that the
+    final tokens are init's tokens replayed through the recorded unmasks and
+    remasks. Returns a list of problems (empty = clean).
     """
     problems = _column_problems(trace)
     if problems:
@@ -594,6 +596,7 @@ def check_trace_invariants(trace: DecodeTrace, init: DiffusionState) -> list[str
     n = len(init.tokens)
     injected0 = set(init.injected.tolist())
     masked = set(np.flatnonzero(init.masked()).tolist())
+    replayed = init.tokens.tolist()
     unmasked_seen: set[int] = set()
     remasked_seen: set[int] = set()
 
@@ -612,6 +615,8 @@ def check_trace_invariants(trace: DecodeTrace, init: DiffusionState) -> list[str
                 problems.append(f"iteration {idx}: unmasked token {tok} outside vocabulary")
             if not 0.0 <= conf <= 1.0:
                 problems.append(f"iteration {idx}: confidence {conf} outside [0, 1]")
+            if 0 <= pos < n:
+                replayed[pos] = tok
             unmasked_seen.add(pos)
             masked.discard(pos)
         for pos, rate in remasks:
@@ -623,6 +628,8 @@ def check_trace_invariants(trace: DecodeTrace, init: DiffusionState) -> list[str
                 problems.append(f"iteration {idx}: model-decoded position {pos} remasked")
             if not 0.0 <= rate <= 1.0:
                 problems.append(f"iteration {idx}: remask rate {rate} outside [0, 1]")
+            if 0 <= pos < n:
+                replayed[pos] = init.vocab.mask_id
             remasked_seen.add(pos)
             masked.add(pos)
         if masked_after != len(masked):
@@ -643,6 +650,8 @@ def check_trace_invariants(trace: DecodeTrace, init: DiffusionState) -> list[str
     final_masked = int((trace.final_tokens == init.vocab.mask_id).sum())
     if final_masked != len(masked):
         problems.append(f"final tokens have {final_masked} masks, bookkeeping says {len(masked)}")
+    if trace.final_tokens.tolist() != replayed:
+        problems.append("final tokens differ from init's tokens replayed through the recorded unmasks and remasks")
     return problems
 
 

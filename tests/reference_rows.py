@@ -49,10 +49,10 @@ def oracle_rows(state, ctx, rows=None):
     return pi
 
 
-def markov_rows(state, ctx, rows=None):
+def markov_rows(state, model, rows=None):
     """Row i is half the forward row of the nearest revealed token left of
-    rows[i] plus half the reverse row of the nearest one right of it."""
-    model = ctx.params
+    rows[i] plus half the reverse row of the nearest one right of it; the
+    context is the model itself."""
     tokens, mask_id = state.tokens, state.vocab.mask_id
     if rows is None:
         rows = np.arange(len(tokens))
@@ -91,7 +91,7 @@ def rows_denoiser(fn):
 
 
 def reference_rows(kind):
-    """The row function of the denoiser kind `prepare` takes."""
+    """The row function of the denoiser kind ("noisy-oracle" or "markov")."""
     return {"noisy-oracle": oracle_rows, "markov": markov_rows}[kind]
 
 

@@ -340,7 +340,7 @@ def test_criterion_7_statistical_gates():
             vocab=v, tokens=np.where(gen.uniform(size=5000) < gen.uniform(), gen.integers(0, 8, size=5000), v.mask_id)
         )
         for kind, p in (("noisy-oracle", params), ("markov", model)):
-            _, ctx = prepare(kind, target, p, state)
+            _, ctx = prepare(target, p, state)
             worst = max(worst, float(np.abs(reference_rows(kind)(state, ctx).sum(axis=1) - 1.0).max()))
     rows_ok = worst <= 1e-9
 

@@ -139,7 +139,7 @@ class TestApplyRemask:
 
 
 def oracle_ctx(target, init, **kw):
-    return prepare("noisy-oracle", target, NoisyOracleParams(**kw), init)[1]
+    return prepare(target, NoisyOracleParams(**kw), init)[1]
 
 
 class TestDecode:
@@ -230,7 +230,7 @@ class TestDecode:
         wcfg = WarmStartConfig(method="embedding-interpolation", rho=0.5, alpha=0.6)
         init = warm_init(v, (target + 1) % 6, table, wcfg, DeterministicRng(6))
         before = self.state_bytes(init)
-        denoiser, ctx = prepare("noisy-oracle", target, NoisyOracleParams(eta=0.5), init, table)
+        denoiser, ctx = prepare(target, NoisyOracleParams(eta=0.5), init, table)
         dcfg = DecodeConfig(tau=0.9, override_persistence="first-iteration")
         trace = decode(denoiser, ctx, init, dcfg, DeterministicRng(7))
         assert trace.nfe > 1 and init.embedding_override is not None
@@ -358,7 +358,7 @@ class TestDecode:
         init = all_mask_init(v, 4)
         init.embedding_override = table.rows[target] * 0.5
         with np.errstate(over="ignore", invalid="ignore"):
-            denoiser, ctx = prepare("noisy-oracle", target, NoisyOracleParams(eta=0.5), init, table)
+            denoiser, ctx = prepare(target, NoisyOracleParams(eta=0.5), init, table)
             assert np.isnan(ctx.bonus).all()
             with pytest.raises(ValueError, match="non-finite"):
                 decode(denoiser, ctx, init, DecodeConfig(tau=0.9), DeterministicRng(0))

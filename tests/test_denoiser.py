@@ -11,11 +11,11 @@ from reference_rows import NO_HELD, markov_rows, masked_rows, oracle_rows, out_b
 
 
 def oracle_ctx(target, state, **kw):
-    return prepare("noisy-oracle", target, NoisyOracleParams(**kw), state)[1]
+    return prepare(target, NoisyOracleParams(**kw), state)[1]
 
 
 def markov_ctx(target, state, model):
-    return prepare("markov", target, model, state)[1]
+    return prepare(target, model, state)[1]
 
 
 class TestContracts:
@@ -50,12 +50,12 @@ class TestContracts:
     def test_length_mismatch_rejected(self):
         v = Vocabulary(3)
         with pytest.raises(ValueError):
-            prepare("noisy-oracle", [0, 1, 2], NoisyOracleParams(), all_mask_init(v, 4))
+            prepare([0, 1, 2], NoisyOracleParams(), all_mask_init(v, 4))
 
     def test_target_outside_vocab_rejected(self):
         v = Vocabulary(3)
         with pytest.raises(ValueError):
-            prepare("noisy-oracle", [0, 3], NoisyOracleParams(), all_mask_init(v, 2))
+            prepare([0, 3], NoisyOracleParams(), all_mask_init(v, 2))
 
 
 class TestNoisyOracle:
@@ -172,7 +172,7 @@ class TestEmbeddingBonus:
 
     def probs(self, state, table=None, **kw):
         table = self.table if table is None else table
-        _, ctx = prepare("noisy-oracle", self.target, NoisyOracleParams(**kw), state, table)
+        _, ctx = prepare(self.target, NoisyOracleParams(**kw), state, table)
         return oracle_rows(state, ctx)
 
     def test_alpha_zero_is_exactly_neutral(self):
@@ -196,7 +196,7 @@ class TestEmbeddingBonus:
 
     def test_missing_table_rejected(self):
         with pytest.raises(ValueError):
-            prepare("noisy-oracle", self.target, NoisyOracleParams(eta=0.5), self.state_with_override(1.0))
+            prepare(self.target, NoisyOracleParams(eta=0.5), self.state_with_override(1.0))
 
     def test_zero_vectors_stay_finite(self):
         table = EmbeddingTable(rows=np.zeros((5, 3)))
@@ -204,7 +204,7 @@ class TestEmbeddingBonus:
         state.embedding_override = np.zeros((4, 3))
         out = self.probs(state, table, eta=0.9)
         assert np.isfinite(out).all()
-        denoiser, ctx = prepare("noisy-oracle", self.target, NoisyOracleParams(eta=0.9), state, table)
+        denoiser, ctx = prepare(self.target, NoisyOracleParams(eta=0.9), state, table)
         assert np.isfinite(denoiser(state, ctx, masked_rows(state), NO_HELD)[1]).all()
 
 
@@ -287,9 +287,10 @@ class TestMarkovLogits:
         model = BigramModel.fit([[0, 1]], 2)
         v = Vocabulary(3)
         with pytest.raises(ValueError):
-            prepare("markov", [0, 1], model, all_mask_init(v, 2))
+            prepare([0, 1], model, all_mask_init(v, 2))
 
     def test_non_model_params_rejected(self):
+        """Params of neither denoiser's type pick no denoiser."""
         v = Vocabulary(3)
-        with pytest.raises(ValueError):
-            prepare("markov", [0, 1], NoisyOracleParams(), all_mask_init(v, 2))
+        with pytest.raises(ValueError, match="NoisyOracleParams or a BigramModel"):
+            prepare([0, 1], "markov", all_mask_init(v, 2))

@@ -170,7 +170,7 @@ def bigram_models(draw, V):
 @given(problems(), oracle_params(), st.data())
 def test_oracle_matches_per_position_loop(problem, params, data):
     state, target, table = problem
-    denoiser, ctx = prepare("noisy-oracle", target, params, state, table)
+    denoiser, ctx = prepare(target, params, state, table)
     assert denoiser is noisy_oracle_logits
     full = reference_oracle(state, target, params, table)
     expected = via_rows(lambda s: reference_oracle(s, target, params, table))
@@ -218,7 +218,7 @@ def test_bonus_matches_per_position_loop(problem, eta, rho, data):
                 continue
             init = all_mask_init(state.vocab, len(target))
             init.embedding_override = override
-            _, ctx = prepare("noisy-oracle", target, params, init, tbl)
+            _, ctx = prepare(target, params, init, tbl)
             expected = reference_bonus(np.ascontiguousarray(override), target, eta, tbl)
             assert ctx.bonus.tobytes() == expected.tobytes()
         assert tbl.row_norms is tbl.row_norms and tbl.mask_cosines is tbl.mask_cosines
@@ -232,7 +232,7 @@ def test_oracle_matches_loop_through_decode(problem, params, persistence):
     state, target, table = problem
     init = all_mask_init(state.vocab, len(target))
     init.embedding_override = state.embedding_override
-    _, ctx = prepare("noisy-oracle", target, params, init, table)
+    _, ctx = prepare(target, params, init, table)
     seen = []
 
     expected = via_rows(lambda s: reference_oracle(s, target, params, table))
@@ -272,7 +272,7 @@ def test_bonus_tables_match_the_reference_rows_at_every_revealed_count(problem, 
         state.embedding_override = 0.5 * table.mask_vector() + 0.5 * table.rows[drawn]
     expected = rows_denoiser(oracle_rows)
     with mock.patch.object(warmdiff.denoiser, "_BONUS_TABLE_ENTRIES", budget):
-        denoiser, ctx = prepare("noisy-oracle", target, params, state, table)
+        denoiser, ctx = prepare(target, params, state, table)
         assert (ctx.bonus_conf is None) == (budget < (n + 1) * n)
         for source in (target, drawn):
             for k in range(n + 1):
@@ -306,7 +306,7 @@ def test_bonus_ties_at_the_uniform_level(budget, mode):
     state, target, table = tie_problem()
     params = NoisyOracleParams(c0=0.25, gamma=0.5, eta=1.0, c_max=0.25, mode=mode)
     with mock.patch.object(warmdiff.denoiser, "_BONUS_TABLE_ENTRIES", budget):
-        denoiser, ctx = prepare("noisy-oracle", target, params, state, table)
+        denoiser, ctx = prepare(target, params, state, table)
         assert (ctx.bonus_conf is None) == (budget == 41)
         rows = masked_rows(state)
         best, conf, _ = got = denoiser(state, ctx, rows, NO_HELD)
@@ -332,7 +332,7 @@ def test_bonus_tables_stop_at_the_entry_budget():
         state.embedding_override = rng.standard_normal((n, 4))
         for mode in ("faithful", "credulous"):
             params = NoisyOracleParams(eta=0.8, mode=mode)
-            denoiser, ctx = prepare("noisy-oracle", target, params, state, table)
+            denoiser, ctx = prepare(target, params, state, table)
             if n == 255:
                 assert ctx.bonus_conf.shape == (256, 255)
                 assert ctx.bonus_best.shape == ({"faithful": 1, "credulous": 2}[mode], 256, 255)
@@ -353,7 +353,7 @@ def test_bonus_tables_stop_at_the_entry_budget():
 def test_markov_matches_per_position_loop(data):
     state, target, _ = data.draw(problems())
     model = data.draw(bigram_models(state.vocab.size))
-    denoiser, ctx = prepare("markov", target, model, state)
+    denoiser, ctx = prepare(target, model, state)
     assert denoiser is markov_logits
     full = reference_markov(state, model)
     expected = via_rows(lambda s: reference_markov(s, model))
@@ -371,7 +371,7 @@ def test_markov_with_no_reveal_on_a_side(tokens):
     counts = np.arange(9, dtype=float).reshape(3, 3) / 7.0
     model = BigramModel(3, counts, token_counts=counts.sum(axis=1))
     state = DiffusionState(vocab=Vocabulary(3), tokens=np.array(tokens))
-    _, ctx = prepare("markov", [0] * len(tokens), model, state)
+    _, ctx = prepare([0] * len(tokens), model, state)
     rows, held = masked_rows(state), (state.tokens != 3).nonzero()[0]
     expected = via_rows(lambda s: reference_markov(s, model))
     assert out_bytes(markov_logits(state, ctx, rows, held)) == out_bytes(expected(state, ctx, rows, held))
@@ -413,7 +413,7 @@ def test_markov_matches_per_position_loop_on_edge_states(n, V):
     model = model_at_scale(V, n)
     for tokens, injected in edge_states(n, V):
         state = DiffusionState(vocab=Vocabulary(V), tokens=tokens.copy(), injected=injected)
-        _, ctx = prepare("markov", [0] * n, model, state)
+        _, ctx = prepare([0] * n, model, state)
         expected = via_rows(lambda s: reference_markov(s, model))
         rows, held = decode_rows(state.tokens, injected, V)
         assert out_bytes(markov_logits(state, ctx, rows, held)) == out_bytes(expected(state, ctx, rows, held))
@@ -431,7 +431,7 @@ def test_markov_matches_per_position_loop_through_decode(shape, rho, seed):
     vocab = Vocabulary(V)
     target = propose_markov(model, n, DeterministicRng(seed))
     init = inject_tokens(vocab, target, rho, DeterministicRng(seed + 1))
-    _, ctx = prepare("markov", target, model, init)
+    _, ctx = prepare(target, model, init)
     calls = []
     expected = via_rows(lambda s: reference_markov(s, model))
 
@@ -468,7 +468,7 @@ def test_decode_asks_for_the_masked_rows_and_holds_the_injected_ones(kind, metho
         proposal = propose_corrupted(vocab, target, 0.4, DeterministicRng(seed + 10))
         wcfg = WarmStartConfig(method=method, rho=0.5, alpha=0.7)
         init = warm_init(vocab, proposal, table, wcfg, DeterministicRng(seed + 20))
-        denoiser, ctx = prepare(kind, target, params, init, table)
+        denoiser, ctx = prepare(target, params, init, table)
         held_seen = []
 
         def spy(state, ctx, rows, held_rows):
@@ -507,7 +507,7 @@ def reference_cases(draw):
         pinned = draw(st.sampled_from([None, uniform, *(float(np.nextafter(uniform, x)) for x in (0.0, 1.0))]))
         if pinned is not None:
             params = replace(params, c0=pinned, c_max=pinned)
-    denoiser, ctx = prepare(kind, target, params, state, table)
+    denoiser, ctx = prepare(target, params, state, table)
     return kind, denoiser, ctx, state, draw(masked_subsets(state)), draw(held_subsets(state))
 
 
@@ -529,7 +529,7 @@ def test_oracle_at_and_around_the_uniform_level(level, best, mode):
     one, above it the intended token."""
     state = DiffusionState(vocab=Vocabulary(4), tokens=np.array([4, 4, 4, 4]))
     params = NoisyOracleParams(c0=level, gamma=0.0, c_max=level, mode=mode)
-    denoiser, ctx = prepare("noisy-oracle", [0, 1, 2, 3], params, state)
+    denoiser, ctx = prepare([0, 1, 2, 3], params, state)
     pi = oracle_rows(state, ctx)
     assert (pi == pi[0, 0]).all() == (level == 0.25)
     rows = masked_rows(state)
@@ -606,46 +606,55 @@ OVERRIDDEN = DiffusionState(vocab=V3, tokens=np.array([3, 3]), embedding_overrid
 
 
 @pytest.mark.parametrize(
-    "args",
+    "args,message",
     [
-        ("noisy-oracle", [0, 1, 2], NoisyOracleParams(), all_mask_init(V3, 2)),  # length
-        ("markov", [0, 1, 2], MODEL3, all_mask_init(V3, 2)),  # length
-        ("noisy-oracle", [0, 3], NoisyOracleParams(), all_mask_init(V3, 2)),  # vocabulary
-        ("markov", [0, 3], MODEL3, all_mask_init(V3, 2)),  # vocabulary
-        ("noisy-oracle", [0, 1], NoisyOracleParams(eta=0.5), OVERRIDDEN),  # missing table
-        ("markov", [0, 1], NoisyOracleParams(), all_mask_init(V3, 2)),  # params type
-        ("noisy-oracle", [0, 1], MODEL3, all_mask_init(V3, 2)),  # params type
-        ("markov", [0, 1], BigramModel(2, np.ones((2, 2)), np.full(2, 2.0)), all_mask_init(V3, 2)),  # bigram vocabulary
-        ("bigram", [0, 1], MODEL3, all_mask_init(V3, 2)),  # kind
+        (([0, 1], {"c0": 0.4}, all_mask_init(V3, 2)), "NoisyOracleParams or a BigramModel"),
+        (([[0, 1]], NoisyOracleParams(), all_mask_init(V3, 2)), "shape \\(1, 2\\)"),  # 2-d
+        (([], MODEL3, all_mask_init(V3, 2)), "shape \\(0,\\)"),  # empty
+        (([0, 1, 2], NoisyOracleParams(), all_mask_init(V3, 2)), "length 2"),
+        (([0, -1], MODEL3, all_mask_init(V3, 2)), "outside the vocabulary"),  # negative
+        (([0, 3], NoisyOracleParams(), all_mask_init(V3, 2)), "outside the vocabulary"),  # >= V
+        (([0, 1], NoisyOracleParams(eta=0.5), OVERRIDDEN), "embedding table required"),
+        (([0, 1], BigramModel(2, np.ones((2, 2)), np.full(2, 2.0)), all_mask_init(V3, 2)), "bigram model vocabulary"),
     ],
 )
-def test_bad_inputs_rejected_when_the_context_is_built(args):
-    with pytest.raises(ValueError):
+def test_bad_inputs_rejected_when_the_context_is_built(args, message):
+    with pytest.raises(ValueError, match=message):
         prepare(*args)
+
+
+def test_prepare_picks_the_denoiser_from_the_params_type():
+    """A BigramModel is the markov denoiser's whole context; oracle params
+    give the oracle a context holding the target and its levels."""
+    denoiser, ctx = prepare([0, 1], MODEL3, all_mask_init(V3, 2))
+    assert denoiser is markov_logits and ctx is MODEL3
+    params = NoisyOracleParams()
+    denoiser, ctx = prepare([0, 1], params, all_mask_init(V3, 2))
+    assert denoiser is noisy_oracle_logits and type(ctx) is DenoiseContext
+    assert ctx.params is params and ctx.target.dtype == np.int64 and ctx.target.tolist() == [0, 1]
+    assert ctx.levels.tolist() == [0.4, 0.7, 0.99]
 
 
 def test_override_without_a_prepared_bonus_raises():
     """A context built without a table cannot silently drop the bonus."""
-    denoiser, ctx = prepare("noisy-oracle", [0, 1], NoisyOracleParams(eta=0.5), all_mask_init(V3, 2))
+    denoiser, ctx = prepare([0, 1], NoisyOracleParams(eta=0.5), all_mask_init(V3, 2))
     assert ctx.bonus is None
     with pytest.raises(ValueError):
         denoiser(OVERRIDDEN, ctx, masked_rows(OVERRIDDEN), NO_HELD)
 
 
-def test_context_with_a_bonus_but_no_tables_raises():
-    """Within the budget the oracle reads the bonus from the tables only
-    `prepare` builds; a context given the bonus column alone is refused."""
+@pytest.mark.parametrize("mode", ["faithful", "credulous"])
+def test_context_with_a_bonus_but_no_tables_matches_the_reference_rows(mode):
+    """A context given the bonus column without the tables that `prepare`
+    builds within the budget gets the bonus rows computed per call: bit for
+    bit the reference rows, and so the tables' answer."""
     state, target, table = tie_problem()
-    _, ctx = prepare("noisy-oracle", target, NoisyOracleParams(eta=0.5), state, table)
+    denoiser, ctx = prepare(target, NoisyOracleParams(eta=0.5, mode=mode), state, table)
     assert ctx.bonus_conf is not None
-    by_hand = DenoiseContext(target=target, params=ctx.params, levels=ctx.levels, bonus=ctx.bonus)
-    with pytest.raises(ValueError, match="build it with prepare"):
-        noisy_oracle_logits(state, by_hand, masked_rows(state), NO_HELD)
-
-
-def test_context_built_by_hand_raises():
-    """Without `prepare` the oracle has no exact confidence levels to read."""
-    with pytest.raises(ValueError, match="levels"):
-        state = all_mask_init(V3, 2)
-        by_hand = DenoiseContext(target=[0, 1], params=NoisyOracleParams())
-        noisy_oracle_logits(state, by_hand, masked_rows(state), NO_HELD)
+    by_hand = DenoiseContext(target=ctx.target, params=ctx.params, levels=ctx.levels, bonus=ctx.bonus)
+    for reveal in ([], [1, 2]):
+        state.tokens[reveal] = [1, 3][: len(reveal)]  # one correct reveal, one wrong one
+        rows, held = masked_rows(state), np.array(reveal, dtype=np.int64)
+        expected = out_bytes(rows_denoiser(oracle_rows)(state, ctx, rows, held))
+        assert out_bytes(noisy_oracle_logits(state, by_hand, rows, held)) == expected
+        assert out_bytes(denoiser(state, ctx, rows, held)) == expected

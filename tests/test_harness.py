@@ -537,6 +537,22 @@ class TestInvariantChecking:
         problems = check_trace_invariants(trace, init)
         assert any("non-injected" in p for p in problems)
 
+    @pytest.mark.parametrize("column", ["final_tokens", "unmask_tok"])
+    def test_tokens_that_disagree_with_the_replay_are_caught(self, column):
+        """A token changed in the final state or in an unmask record leaves
+        every count as it was; only replaying init's tokens through the
+        recorded unmasks and remasks sees it."""
+        cfg = build_config({"n": 12, "warmstart.method": "token-injection", "warmstart.rho": 0.5,
+                            "decode.remask_enabled": True, "decode.b0": 1.0, "proposer.epsilon": 0.5,
+                            "num_runs": 1})
+        _, trace, init = run_one(cfg, 0)
+        assert check_trace_invariants(trace, init) == []
+        assert trace.remask_pos.size > 0
+        values = getattr(trace, column)
+        values[0] = (values[0] + 1) % init.vocab.size
+        problems = check_trace_invariants(trace, init)
+        assert any("replayed" in p for p in problems)
+
     def test_missing_progress_is_caught(self):
         cfg = build_config({"n": 6, "num_runs": 1, "denoiser.c0": 0.3, "denoiser.gamma": 0.0,
                             "denoiser.c_max": 0.3})

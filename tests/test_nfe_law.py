@@ -40,7 +40,7 @@ def faithful_runs(draw):
 def decode_faithful(vocab, params, tau, target, wcfg, epsilon, seed):
     rng = DeterministicRng(seed)
     init = warm_init(vocab, propose_corrupted(vocab, target, epsilon, rng), None, wcfg, rng)
-    denoiser, ctx = prepare("noisy-oracle", target, params, init)
+    denoiser, ctx = prepare(target, params, init)
     return init, decode(denoiser, ctx, init, DecodeConfig(tau=tau), rng)
 
 
