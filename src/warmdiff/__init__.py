@@ -11,6 +11,7 @@ from .bigram import BigramModel, load_corpus
 from .core import (
     DeterministicRng,
     DiffusionState,
+    EmbeddingOverride,
     EmbeddingTable,
     Vocabulary,
     all_mask_init,

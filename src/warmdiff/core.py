@@ -19,6 +19,7 @@ import numpy as np
 __all__ = [
     "Vocabulary",
     "DiffusionState",
+    "EmbeddingOverride",
     "EmbeddingTable",
     "DeterministicRng",
     "run_key",
@@ -54,13 +55,15 @@ class DiffusionState:
     a warm proposal and has not been remasked yet: a read-only int64 array
     built from any int iterable. `apply_remask` rebinds it to the positions
     it did not remask. `embedding_override` is present only under
-    embedding-interpolation warm starts and carries one vector per position.
+    embedding-interpolation warm starts: an `EmbeddingOverride` whose ids,
+    one per position, must be as many as the tokens and whose table must
+    embed this vocabulary.
     """
 
     vocab: Vocabulary
     tokens: np.ndarray
     injected: np.ndarray = ()
-    embedding_override: np.ndarray | None = None
+    embedding_override: EmbeddingOverride | None = None
 
     def __post_init__(self):
         self.tokens = np.asarray(self.tokens, dtype=np.int64)
@@ -79,10 +82,14 @@ class DiffusionState:
                 raise ValueError("injected position holds a mask token")
         self.injected = np.flatnonzero(np.bincount(injected, minlength=n))
         self.injected.flags.writeable = False
-        if self.embedding_override is not None:
-            self.embedding_override = np.asarray(self.embedding_override, dtype=np.float64)
-            if self.embedding_override.shape[0] != n:
+        override = self.embedding_override
+        if override is not None:
+            if not isinstance(override, EmbeddingOverride):
+                raise ValueError("embedding_override must be an EmbeddingOverride")
+            if len(override.ids) != n:
                 raise ValueError("embedding_override length must match tokens")
+            if override.table.num_tokens != self.vocab.size:
+                raise ValueError("embedding table size does not match the vocabulary")
 
     def masked(self) -> np.ndarray:
         return self.tokens == self.vocab.mask_id
@@ -132,6 +139,23 @@ class EmbeddingTable:
         mask_vec, norms = self.mask_vector(), self.row_norms
         return [_cosine(mask_vec, row, norms[-1], nv) for row, nv in zip(self.rows[:-1], norms)]
 
+    @cached_property
+    def _blend_memos(self) -> dict:
+        return {}
+
+    def blend_cosines(self, alpha: float) -> "_BlendCosines":
+        """The cosines of the blends (1 - alpha) * mask + alpha * row p with row
+        t, keyed by (p, t) and each computed on first lookup; one memo per
+        alpha, kept with the table, so every run that shares the table
+        shares it. The table keeps the memos of its last _MEMO_ALPHAS alphas."""
+        memos = self._blend_memos
+        memo = memos.get(alpha)
+        if memo is None:
+            if len(memos) == _MEMO_ALPHAS:
+                del memos[next(iter(memos))]
+            memo = memos[alpha] = _BlendCosines(alpha, self.rows, self.row_norms)
+        return memo
+
     @classmethod
     def random(cls, vocab: Vocabulary, dim: int, rng: "DeterministicRng") -> "EmbeddingTable":
         """Uniform entries in [-1, 1), addressed by (row, column) so the table
@@ -139,6 +163,72 @@ class EmbeddingTable:
         if dim < 1:
             raise ValueError("embedding dimension must be positive")
         return cls(rows=2.0 * rng.draws("embed-table", np.arange(vocab.size + 1), np.arange(dim)) - 1.0)
+
+
+# What one table memoizes stays bounded however many runs share it: the
+# memos of at most _MEMO_ALPHAS alphas, each keeping at most _MEMO_PAIRS
+# cosines and _MEMO_FLOATS floats of blends (a few MB). Past a bound a
+# value is computed as below and not kept.
+_MEMO_ALPHAS = 4
+_MEMO_PAIRS = 1 << 13
+_MEMO_FLOATS = 1 << 17
+
+
+class _BlendCosines(dict):
+    """(p, t) -> `_cosine` of the blend of real token p with table row t,
+    from the blend's own `_norm` and the row's. A miss builds p's blend (kept
+    in `blends` beside its norm) if no lookup has yet, then the cosine; the
+    entries are only ever the pairs looked up, up to the bounds above."""
+
+    def __init__(self, alpha: float, rows: np.ndarray, norms: list[float]):
+        super().__init__()
+        self.alpha, self.rows, self.norms = alpha, rows, norms
+        self.blends: dict[int, tuple[np.ndarray, float]] = {}
+        self.max_blends = min(_MEMO_PAIRS, _MEMO_FLOATS // rows.shape[1])
+
+    def __missing__(self, key: tuple[int, int]) -> float:
+        p, t = key
+        blend = self.blends.get(p)
+        if blend is None:
+            # The mask is the last row.
+            u = (1.0 - self.alpha) * self.rows[-1] + self.alpha * self.rows[p]
+            blend = (u, _norm(u))
+            if len(self.blends) < self.max_blends:
+                self.blends[p] = blend
+        u, nu = blend
+        cosine = _cosine(u, self.rows[t], nu, self.norms[t])
+        if len(self) < _MEMO_PAIRS:
+            self[key] = cosine
+        return cosine
+
+
+@dataclass(frozen=True, eq=False)
+class EmbeddingOverride:
+    """The embedding-interpolation warm start by what it is made of.
+
+    Position i's input is the blend (1 - alpha) * mask + alpha * Emb(ids[i])
+    of `table`'s rows, or the plain mask vector where ids[i] is -1 (dropped);
+    the vectors themselves are never built. `ids` is kept as a read-only
+    int64 array of integer ids in [-1, V), V the table's real-token count.
+    """
+
+    ids: np.ndarray
+    alpha: float
+    table: EmbeddingTable
+
+    def __post_init__(self):
+        if not isinstance(self.table, EmbeddingTable):
+            raise ValueError("an embedding override needs its EmbeddingTable")
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ValueError("alpha must be in [0, 1]")
+        ids = np.asarray(self.ids)
+        if ids.ndim != 1 or ids.dtype.kind not in "iu":
+            raise ValueError("embedding override ids must be a 1-d integer array")
+        if ids.size and (ids.min() < -1 or ids.max() >= self.table.num_tokens):
+            raise ValueError("embedding override id outside [-1, V)")
+        ids = ids.astype(np.int64)
+        ids.flags.writeable = False
+        object.__setattr__(self, "ids", ids)
 
 
 # SplitMix64 (Steele, Lea & Flood 2014): a counter stepped by the odd

@@ -17,10 +17,12 @@ them so, and a check would cost a gather per call.
 `prepare` picks the denoiser from the type of its params, checks a run's
 inputs once and builds the context. The markov denoiser's context is its
 `BigramModel`, whose tables are built with it. The oracle's is a
-`DenoiseContext`, precomputing what stays constant over the run: with an
-embedding bonus, its whole output at masked rows, tabulated by (revealed
-count, position) from the same float operations a call would run, so a
-call gathers two entries per row instead of recomputing them. The tables
+`DenoiseContext`, precomputing what stays constant over the run: the
+embedding bonus per position, from the cosines that the override's table
+memoizes per alpha (`EmbeddingTable.blend_cosines`), and with it the
+oracle's whole output at masked rows, tabulated by (revealed count,
+position) from the same float operations a call would run, so a call
+gathers two entries per row instead of recomputing them. The tables
 have (n + 1) * n entries each and are built only within a fixed budget;
 above it the oracle runs those operations per call.
 
@@ -39,7 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bigram import BigramModel
-from .core import DiffusionState, EmbeddingTable, _cosine, _norm
+from .core import DiffusionState
 
 __all__ = [
     "DenoiseContext",
@@ -142,7 +144,7 @@ def _window_sums(values: np.ndarray, window: int) -> np.ndarray:
     return cum[hi] - cum[lo]
 
 
-def prepare(target, params, init: DiffusionState, table: EmbeddingTable | None = None):
+def prepare(target, params, init: DiffusionState):
     """The denoiser that `params` picks and its context for a run that starts
     from `init`, after every check the denoiser relies on: a `BigramModel`
     gives `markov_logits` with the model itself as its context,
@@ -160,24 +162,18 @@ def prepare(target, params, init: DiffusionState, table: EmbeddingTable | None =
         raise ValueError("denoiser params must be NoisyOracleParams or a BigramModel")
     bonus, override = None, init.embedding_override
     if override is not None and params.eta > 0.0:
-        if table is None:
-            raise ValueError("embedding table required when eta > 0 and an override is present")
-        # eta * (cos(override, Emb(target)) - cos(mask_vec, Emb(target))) with
-        # the scalar cosine and the table's cached norms: a vectorized norm
-        # or dot sums in another order, and an ulp at tau moves NFE. Rows
-        # are made contiguous, as the table's are, because a strided dot
-        # also sums in another order. A dropped position's override is the
-        # mask vector itself, bit for bit (same values and signs), so its
-        # bonus is eta * 0.0.
-        override = np.ascontiguousarray(override, dtype=np.float64)
-        mask_vec, rows, norms, mask_cos = table.mask_vector(), table.rows, table.row_norms, table.mask_cosines
-        dropped = (override.view(np.int64) == mask_vec.view(np.int64)).all(axis=1)
-        bonus = np.array(
-            [
-                0.0 if drop else params.eta * (_cosine(u, rows[t], _norm(u), norms[t]) - mask_cos[t])
-                for u, t, drop in zip(override, target.tolist(), dropped.tolist())
-            ]
-        )
+        # eta * (cos(blend of id p, Emb(t)) - cos(mask_vec, Emb(t))) at a
+        # kept position with target t, 0.0 at a dropped one and everywhere
+        # at alpha 0, where every blend is the mask vector (even when the
+        # table's norms overflow and the cosines are NaN). The cosines are
+        # the scalar ones the table memoizes per alpha: a vectorized norm or
+        # dot sums in another order, and an ulp at tau moves NFE.
+        bonus = np.zeros(len(target))
+        if override.alpha > 0.0:
+            cosines, mask_cos = override.table.blend_cosines(override.alpha), override.table.mask_cosines
+            for i, (p, t) in enumerate(zip(override.ids.tolist(), target.tolist())):
+                if p >= 0:
+                    bonus[i] = params.eta * (cosines[p, t] - mask_cos[t])
     n = len(target)
     levels = _levels(params.c0, params.gamma, params.c_max, n)
     tables = {}
@@ -220,8 +216,10 @@ def noisy_oracle_logits(state: DiffusionState, ctx: DenoiseContext, rows, held_r
     positions regardless of correctness (credulous mode), read from the
     context's exact `levels` table. When an embedding override is present,
     each masked position additionally earns
-    eta * (cos(override, Emb(target)) - cos(mask_vec, Emb(target))), the
-    context's bonus, clipped into [0, c_max]. A row holds hi at its intended
+    eta * (cos(blend, Emb(target)) - cos(mask_vec, Emb(target))), the
+    context's bonus, clipped into [0, c_max]: the blend is
+    (1 - alpha) * mask_vec + alpha * Emb(p) for the position's override id
+    p, and a dropped position (id -1) earns 0. A row holds hi at its intended
     token and lo = (1 - hi) / (V - 1) at each of the other V - 1, so its
     argmax is the intended token if hi > lo, token 0 if hi == lo and else
     the lowest other id, and its maximum is max(hi, lo).

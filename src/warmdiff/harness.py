@@ -438,7 +438,7 @@ def run_one(
         init = warm_init(vocab, prop, resources.table, cfg.warmstart, rng)
 
     params = cfg.oracle if cfg.denoiser_kind == "noisy-oracle" else resources.bigram
-    denoiser, ctx = prepare(target, params, init, resources.table)
+    denoiser, ctx = prepare(target, params, init)
     trace = decode(denoiser, ctx, init, cfg.decode, rng)
     result = RunResult(
         run=run_index,

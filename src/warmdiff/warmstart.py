@@ -4,7 +4,9 @@ Two instantiations: token injection (a Bernoulli(rho)-gated subset of
 positions starts as concrete proposal tokens) and embedding interpolation
 (the discrete state stays fully masked while the input representation of
 each position is biased toward the proposal embedding, with keep-probability
-rho dropout).
+rho dropout). The interpolated inputs are recorded by what they are made of,
+the kept proposal ids, alpha and the table (`core.EmbeddingOverride`), not
+as vectors.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DeterministicRng, DiffusionState, EmbeddingTable, Vocabulary, all_mask_init
+from .core import DeterministicRng, DiffusionState, EmbeddingOverride, EmbeddingTable, Vocabulary, all_mask_init
 
 __all__ = ["WarmStartConfig", "warm_init", "inject_tokens", "interpolate_embeddings"]
 
@@ -55,21 +57,18 @@ def inject_tokens(vocab, proposal: np.ndarray, rho: float, rng: DeterministicRng
 
 def interpolate_embeddings(
     proposal: np.ndarray, table: EmbeddingTable, alpha: float, rho: float, rng: DeterministicRng
-) -> np.ndarray:
-    """Convex blend (1-alpha) * mask_vec + alpha * Emb(proposal_i) per position,
-    kept with probability rho (draw "embed-drop" at iteration 0) and reverted
-    to the plain mask vector otherwise."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must be in [0, 1]")
+) -> EmbeddingOverride:
+    """The override whose blends (1-alpha) * mask_vec + alpha * Emb(id) are
+    the positions' inputs: each position keeps its proposal token as its id
+    with probability rho (draw "embed-drop" at iteration 0) and is -1, the
+    plain mask vector, otherwise. No vector is built. Every proposal token,
+    dropped or kept, must be in the table; the override checks alpha."""
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must be in [0, 1]")
     if ((proposal < 0) | (proposal >= table.num_tokens)).any():
         raise ValueError("proposal tokens outside the embedding table")
     keep = rng.draws("embed-drop", np.arange(len(proposal)), 0) < rho
-    mask_vec = table.mask_vector()
-    out = np.tile(mask_vec, (len(proposal), 1))
-    out[keep] = (1.0 - alpha) * mask_vec + alpha * table.rows[proposal[keep]]
-    return out
+    return EmbeddingOverride(np.where(keep, proposal, -1), alpha, table)
 
 
 def warm_init(
@@ -83,7 +82,8 @@ def warm_init(
 
     method "none" reduces to the all-mask state; "token-injection" gates
     proposal tokens into the discrete state; "embedding-interpolation" keeps
-    every position masked and attaches the interpolated override vectors.
+    every position masked and attaches the override: the kept proposal ids
+    with alpha and the table.
     """
     n = len(proposal)
     if cfg.method == "none":
@@ -92,8 +92,5 @@ def warm_init(
         return inject_tokens(vocab, proposal, cfg.rho, rng)
     if table is None:
         raise ValueError("embedding-interpolation requires an embedding table")
-    if table.num_tokens != vocab.size:
-        raise ValueError("embedding table size does not match the vocabulary")
-    state = all_mask_init(vocab, n)
-    state.embedding_override = interpolate_embeddings(proposal, table, cfg.alpha, cfg.rho, rng)
-    return state
+    override = interpolate_embeddings(proposal, table, cfg.alpha, cfg.rho, rng)
+    return DiffusionState(vocab=vocab, tokens=np.full(n, vocab.mask_id), embedding_override=override)

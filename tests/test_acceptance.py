@@ -15,7 +15,7 @@ import numpy as np
 
 from nfe_law import exact_mean_nfe
 from reference_decoder import reference_decode
-from reference_rows import reference_rows, rows_denoiser
+from reference_rows import memo_vectors, reference_rows, rows_denoiser
 from warmdiff.bigram import BigramModel
 from warmdiff.core import DeterministicRng, DiffusionState, Vocabulary, all_mask_init, softmax
 from warmdiff.decoder import DecodeConfig, decode, remask_rates
@@ -185,15 +185,19 @@ def test_criterion_3_degeneration_identities():
         lines_rho0 = "\n".join(trace_lines(trace_rho0, {})[1:])
         same_bytes = same_bytes and lines_none.encode() == lines_rho0.encode()
 
-    # (b) alpha=0 override vectors are bitwise the mask embedding.
+    # (b) alpha=0 override vectors are bitwise the mask embedding, so every
+    # kept id's blend cosine is the mask's and its bonus exactly 0.
     bitwise_mask = True
     for seed in range(5):
         v = Vocabulary(9)
         table = EmbeddingTable.random(v, 6, DeterministicRng(seed))
         prop = np.arange(32) % 9
-        out = interpolate_embeddings(prop, table, 0.0, 0.6, DeterministicRng(seed + 1))
+        override = interpolate_embeddings(prop, table, 0.0, 0.6, DeterministicRng(seed + 1))
         expected = np.tile(table.mask_vector(), (32, 1))
-        bitwise_mask = bitwise_mask and out.tobytes() == expected.tobytes()
+        bitwise_mask = bitwise_mask and memo_vectors(override).tobytes() == expected.tobytes()
+        cosines = table.blend_cosines(0.0)
+        kept = [(p, t) for p, t in zip(override.ids.tolist(), range(9)) if p >= 0]
+        bitwise_mask = bitwise_mask and bool(kept) and all(cosines[p, t] == table.mask_cosines[t] for p, t in kept)
 
     # (c) perfect oracle decodes any length in a single iteration.
     perfect = True

@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference_rng import record_draws, reference_draw, reference_run_key
+from warmdiff import core
 from warmdiff.core import (
     DeterministicRng,
     DiffusionState,
+    EmbeddingOverride,
     EmbeddingTable,
     Vocabulary,
     all_mask_init,
@@ -104,12 +106,13 @@ class TestDiffusionState:
             DiffusionState(
                 vocab=Vocabulary(3),
                 tokens=np.array([0, 1]),
-                embedding_override=np.zeros((3, 2)),
+                embedding_override=EmbeddingOverride(np.array([0, 1, -1]), 0.5, EmbeddingTable(np.zeros((4, 2)))),
             )
 
     def test_copy_owns_its_tokens_and_shares_what_decoding_rebinds(self):
         v = Vocabulary(3)
-        state = DiffusionState(vocab=v, tokens=np.array([0, 3]), injected={0}, embedding_override=np.zeros((2, 2)))
+        override = EmbeddingOverride(np.array([2, -1]), 0.5, EmbeddingTable(np.zeros((4, 2))))
+        state = DiffusionState(vocab=v, tokens=np.array([0, 3]), injected={0}, embedding_override=override)
         clone = state.copy()
         clone.tokens[1] = 1
         assert state.tokens[1] == 3
@@ -117,6 +120,89 @@ class TestDiffusionState:
         clone.injected = clone.injected[:0]
         clone.embedding_override = None
         assert state.injected.tolist() == [0] and state.embedding_override is not None
+
+
+class TestEmbeddingOverride:
+    """The override record a state carries under embedding interpolation."""
+
+    TABLE = EmbeddingTable(np.arange(8.0).reshape(4, 2))  # V = 3
+
+    def state(self, ids, table=TABLE, alpha=0.5):
+        return DiffusionState(
+            vocab=Vocabulary(3), tokens=np.array([3, 3]), embedding_override=EmbeddingOverride(ids, alpha, table)
+        )
+
+    @pytest.mark.parametrize("ids", [[0, 3], [-2, 0], [2**63 - 1, 0], np.array([0, 2**64 - 1], dtype=np.uint64)])
+    def test_rejects_ids_out_of_range(self, ids):
+        with pytest.raises(ValueError, match="outside"):
+            self.state(ids)
+
+    @pytest.mark.parametrize("ids", [[0], [0, 1, 2], [[0, 1]]])
+    def test_rejects_ids_of_the_wrong_length(self, ids):
+        with pytest.raises(ValueError):
+            self.state(ids)
+
+    @pytest.mark.parametrize("ids", [[0.0, 1.0], [True, False], np.array([0, 1], dtype=np.float32), ["0", "1"]])
+    def test_rejects_ids_of_a_non_integer_dtype(self, ids):
+        with pytest.raises(ValueError, match="integer"):
+            self.state(ids)
+
+    @pytest.mark.parametrize("alpha", [-0.5, 1.5, float("nan")])
+    def test_rejects_alpha_outside_the_unit_interval(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            self.state([0, -1], alpha=alpha)
+
+    def test_rejects_a_table_of_another_vocabulary(self):
+        with pytest.raises(ValueError, match="vocabulary"):
+            self.state([0, 1], table=EmbeddingTable(np.ones((5, 2))))
+
+    def test_rejects_what_is_not_an_override(self):
+        with pytest.raises(ValueError, match="EmbeddingOverride"):
+            DiffusionState(vocab=Vocabulary(3), tokens=np.array([3, 3]), embedding_override=np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("ids", [[2, -1], np.array([2, -1], dtype=np.int8), np.array([2, 9, -1])[::2]])
+    def test_ids_are_stored_as_read_only_int64(self, ids):
+        override = self.state(ids).embedding_override
+        assert override.ids.dtype == np.int64 and override.ids.tolist() == [2, -1]
+        with pytest.raises(ValueError, match="read-only"):
+            override.ids[0] = 1
+
+    def test_each_alpha_has_its_own_memo(self):
+        """Two alphas on one table never share an entry: the same (p, t) is
+        looked up in each, and each holds its own alpha's blend and cosine."""
+        table = EmbeddingTable(np.array([[1.0, 0.0], [0.0, 1.0], [3.0, -1.0], [1.0, 1.0]]))
+        low, high = table.blend_cosines(0.3), table.blend_cosines(0.6)
+        assert low is not high and low is table.blend_cosines(0.3)
+        assert low[0, 1] != high[0, 1]
+        assert low.blends[0][0].tolist() == (0.7 * table.rows[3] + 0.3 * table.rows[0]).tolist()
+        assert high.blends[0][0].tolist() == (0.4 * table.rows[3] + 0.6 * table.rows[0]).tolist()
+        assert list(low) == list(high) == [(0, 1)]
+
+    @pytest.mark.parametrize("dim", [4, 64])
+    def test_memo_stays_within_its_bounds_at_large_v(self, dim):
+        """Pairs with distinct ids, more than the memo keeps, as at a large V
+        where pairs rarely repeat: it keeps at most _MEMO_PAIRS cosines and
+        _MEMO_FLOATS floats of blends, and past them a lookup still gives
+        the value a kept entry has. A second memo on the same rows, filled in
+        the reverse order, keeps the pairs the first could not."""
+        V = 10_000
+        rows = EmbeddingTable.random(Vocabulary(V), dim, DeterministicRng(3)).rows
+        first, second = (EmbeddingTable(rows).blend_cosines(0.6) for _ in range(2))
+        pairs = [(p, 7 * p % V) for p in range(core._MEMO_PAIRS + 1000)]
+        values = [first[pair] for pair in pairs]
+        assert [second[pair] for pair in reversed(pairs)] == values[::-1]
+        for memo in (first, second):
+            assert len(memo) == core._MEMO_PAIRS
+            assert len(memo.blends) == min(core._MEMO_PAIRS, core._MEMO_FLOATS // dim)
+        assert list(first) == pairs[: core._MEMO_PAIRS] and list(second) == pairs[::-1][: core._MEMO_PAIRS]
+
+    def test_table_keeps_the_memos_of_its_last_alphas(self):
+        table = EmbeddingTable(np.array([[1.0, 0.0], [0.0, 1.0], [3.0, -1.0], [1.0, 1.0]]))
+        alphas = [a / 10 for a in range(1, core._MEMO_ALPHAS + 3)]
+        for alpha in alphas:
+            table.blend_cosines(alpha)[0, 1]
+        assert list(table._blend_memos) == alphas[-core._MEMO_ALPHAS :]
+        assert table.blend_cosines(alphas[-1]) is table.blend_cosines(alphas[-1])
 
 
 class TestEmbedLookup:
@@ -198,6 +284,14 @@ class TestDeterministicRng:
     def test_draws_match_the_pure_int_reference(self, seed, purpose, positions, iteration):
         out = DeterministicRng(seed).draws(purpose, positions, iteration)
         assert out.tolist() == [reference_draw(seed, purpose, p, iteration) for p in positions]
+
+    @pytest.mark.parametrize("position", [2**63, -(2**63) - 1, 2**64, -(2**70)])
+    def test_draw_outside_int64_raises_overflow_like_draws(self, position):
+        rng = DeterministicRng(1)
+        with pytest.raises(OverflowError):
+            rng.draws("p", [position], 0)
+        with pytest.raises(OverflowError):
+            rng.draw("p", position, 0)
 
     @settings(max_examples=100, deadline=None)
     @given(

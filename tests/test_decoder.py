@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from reference_decoder import reference_decode, reference_select_unmask
 from reference_rows import oracle_rows, rows_denoiser
-from warmdiff.core import DeterministicRng, DiffusionState, EmbeddingTable, Vocabulary, all_mask_init
+from warmdiff.core import DeterministicRng, DiffusionState, EmbeddingOverride, EmbeddingTable, Vocabulary, all_mask_init
 from warmdiff.decoder import (
     DecodeConfig,
     apply_remask,
@@ -16,6 +16,14 @@ from warmdiff.decoder import (
 )
 from warmdiff.denoiser import NoisyOracleParams, noisy_oracle_logits, prepare
 from warmdiff.warmstart import WarmStartConfig, inject_tokens, warm_init
+
+
+def overridden_init(v, n, override=None):
+    """An all-masked state with an override (by default a zero table's
+    blends at alpha 0.5, every position kept)."""
+    if override is None:
+        override = EmbeddingOverride(np.arange(n) % v.size, 0.5, EmbeddingTable(np.zeros((v.size + 1, 2))))
+    return DiffusionState(vocab=v, tokens=np.full(n, v.mask_id), embedding_override=override)
 
 
 class TestConfidences:
@@ -208,7 +216,7 @@ class TestDecode:
     @staticmethod
     def state_bytes(state):
         override = state.embedding_override
-        return state.tokens.tobytes(), state.injected.tobytes(), None if override is None else override.tobytes()
+        return state.tokens.tobytes(), state.injected.tobytes(), None if override is None else override.ids.tobytes()
 
     def test_remasking_run_leaves_init_byte_identical(self):
         """decode shares `injected` with `init` and remasks from it."""
@@ -230,7 +238,7 @@ class TestDecode:
         wcfg = WarmStartConfig(method="embedding-interpolation", rho=0.5, alpha=0.6)
         init = warm_init(v, (target + 1) % 6, table, wcfg, DeterministicRng(6))
         before = self.state_bytes(init)
-        denoiser, ctx = prepare(target, NoisyOracleParams(eta=0.5), init, table)
+        denoiser, ctx = prepare(target, NoisyOracleParams(eta=0.5), init)
         dcfg = DecodeConfig(tau=0.9, override_persistence="first-iteration")
         trace = decode(denoiser, ctx, init, dcfg, DeterministicRng(7))
         assert trace.nfe > 1 and init.embedding_override is not None
@@ -272,8 +280,7 @@ class TestDecode:
             seen.append(state.embedding_override is not None)
             return noisy_oracle_logits(state, ctx, rows, held_rows)
 
-        init = all_mask_init(v, 4)
-        init.embedding_override = np.zeros((4, 2))
+        init = overridden_init(v, 4)
         ctx = oracle_ctx(target, init, c0=0.3, gamma=0.0, c_max=0.3)
         decode(spy, ctx, init, DecodeConfig(tau=0.9, override_persistence="first-iteration"), DeterministicRng(0))
         assert seen[0] is True
@@ -288,8 +295,7 @@ class TestDecode:
             seen.append(state.embedding_override is not None)
             return noisy_oracle_logits(state, ctx, rows, held_rows)
 
-        init = all_mask_init(v, 4)
-        init.embedding_override = np.zeros((4, 2))
+        init = overridden_init(v, 4)
         ctx = oracle_ctx(target, init, c0=0.3, gamma=0.0, c_max=0.3)
         decode(spy, ctx, init, DecodeConfig(tau=0.9), DeterministicRng(0))
         assert all(seen)
@@ -351,17 +357,26 @@ class TestDecode:
 
     def test_overflowing_embedding_bonus_raises(self):
         """Entries of 1e200 overflow the dot products of the cosine, so the
-        oracle's bonus, and with it a masked position's confidence, is NaN."""
+        oracle's bonus, and with it a masked position's confidence, is NaN.
+        At alpha 0 every blend is the mask vector, so every bonus is exactly
+        0 on the same table and the run is the one without an override."""
         v = Vocabulary(4)
         target = np.array([0, 1, 2, 3])
         table = EmbeddingTable(rows=np.full((5, 3), 1e200))
-        init = all_mask_init(v, 4)
-        init.embedding_override = table.rows[target] * 0.5
+        init = overridden_init(v, 4, EmbeddingOverride(target, 0.5, table))
         with np.errstate(over="ignore", invalid="ignore"):
-            denoiser, ctx = prepare(target, NoisyOracleParams(eta=0.5), init, table)
+            denoiser, ctx = prepare(target, NoisyOracleParams(eta=0.5), init)
             assert np.isnan(ctx.bonus).all()
             with pytest.raises(ValueError, match="non-finite"):
                 decode(denoiser, ctx, init, DecodeConfig(tau=0.9), DeterministicRng(0))
+        init = overridden_init(v, 4, EmbeddingOverride(target, 0.0, table))
+        denoiser, ctx = prepare(target, NoisyOracleParams(eta=0.5), init)
+        assert ctx.bonus.tolist() == [0.0] * 4
+        trace = decode(denoiser, ctx, init, DecodeConfig(tau=0.9), DeterministicRng(0))
+        plain = all_mask_init(v, 4)
+        denoiser, ctx = prepare(target, NoisyOracleParams(eta=0.5), plain)
+        expected = decode(denoiser, ctx, plain, DecodeConfig(tau=0.9), DeterministicRng(0))
+        assert trace.final_tokens.tolist() == expected.final_tokens.tolist() and trace.nfe == expected.nfe
 
     def test_full_injection_returns_immediately(self):
         v = Vocabulary(4)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from warmdiff.bigram import BigramModel
-from warmdiff.core import DeterministicRng, DiffusionState, EmbeddingTable, Vocabulary, all_mask_init
+from warmdiff.core import DeterministicRng, DiffusionState, EmbeddingOverride, EmbeddingTable, Vocabulary, all_mask_init
 from warmdiff.denoiser import NoisyOracleParams, noisy_oracle_logits, prepare
 
 from reference_rows import NO_HELD, markov_rows, masked_rows, oracle_rows, out_bytes
@@ -163,16 +163,13 @@ class TestEmbeddingBonus:
         self.table = EmbeddingTable.random(self.v, 6, DeterministicRng(5))
         self.target = np.array([0, 1, 2, 3])
 
-    def state_with_override(self, alpha):
-        state = all_mask_init(self.v, 4)
-        emb = self.table.rows[self.target]
-        mask_vec = self.table.mask_vector()
-        state.embedding_override = (1 - alpha) * mask_vec + alpha * emb
-        return state
+    def state_with_override(self, alpha, table=None):
+        """Every position's input blends the mask with its target's row."""
+        override = EmbeddingOverride(self.target, alpha, self.table if table is None else table)
+        return DiffusionState(vocab=self.v, tokens=np.full(4, self.v.mask_id), embedding_override=override)
 
-    def probs(self, state, table=None, **kw):
-        table = self.table if table is None else table
-        _, ctx = prepare(self.target, NoisyOracleParams(**kw), state, table)
+    def probs(self, state, **kw):
+        _, ctx = prepare(self.target, NoisyOracleParams(**kw), state)
         return oracle_rows(state, ctx)
 
     def test_alpha_zero_is_exactly_neutral(self):
@@ -195,16 +192,17 @@ class TestEmbeddingBonus:
         assert abs(pi[0, self.target[0]] - 0.4) < 1e-12
 
     def test_missing_table_rejected(self):
-        with pytest.raises(ValueError):
-            prepare(self.target, NoisyOracleParams(eta=0.5), self.state_with_override(1.0))
+        """The override carries its table, so one without is rejected when
+        it is built, before any state or context."""
+        with pytest.raises(ValueError, match="EmbeddingTable"):
+            EmbeddingOverride(self.target, 1.0, None)
 
     def test_zero_vectors_stay_finite(self):
-        table = EmbeddingTable(rows=np.zeros((5, 3)))
-        state = all_mask_init(self.v, 4)
-        state.embedding_override = np.zeros((4, 3))
-        out = self.probs(state, table, eta=0.9)
+        """A zero table: every blend, and the mask, is the zero vector."""
+        state = self.state_with_override(0.6, table=EmbeddingTable(rows=np.zeros((5, 3))))
+        out = self.probs(state, eta=0.9)
         assert np.isfinite(out).all()
-        denoiser, ctx = prepare(self.target, NoisyOracleParams(eta=0.9), state, table)
+        denoiser, ctx = prepare(self.target, NoisyOracleParams(eta=0.9), state)
         assert np.isfinite(denoiser(state, ctx, masked_rows(state), NO_HELD)[1]).all()
 
 

@@ -2,7 +2,8 @@
 
 The reference functions below are the straightforward form of both
 denoisers: the oracle's confidence from exact fractions and its embedding
-bonus recomputed per masked position on every call, and the bigram mixture
+bonus recomputed per masked position on every call, from the override's
+input vectors built in one pass (`override_vectors`), and the bigram mixture
 read row by row from the smoothing formulas with left/right scans in
 Python. `prepare` + the library denoisers must give the bytes that
 `rows_denoiser` reads from these rows (argmax, confidence and held-token
@@ -24,13 +25,22 @@ from hypothesis import strategies as st
 
 import warmdiff.denoiser
 from warmdiff.bigram import BigramModel
-from warmdiff.core import DeterministicRng, DiffusionState, EmbeddingTable, Vocabulary, all_mask_init
+from warmdiff.core import DeterministicRng, DiffusionState, EmbeddingOverride, EmbeddingTable, Vocabulary, all_mask_init
 from warmdiff.decoder import DecodeConfig, decode
 from warmdiff.denoiser import DenoiseContext, NoisyOracleParams, markov_logits, noisy_oracle_logits, prepare
 from warmdiff.proposal import propose_corrupted, propose_markov
 from warmdiff.warmstart import METHODS, WarmStartConfig, inject_tokens, interpolate_embeddings, warm_init
 
-from reference_rows import NO_HELD, markov_rows, masked_rows, oracle_rows, out_bytes, reference_rows, rows_denoiser
+from reference_rows import (
+    NO_HELD,
+    markov_rows,
+    masked_rows,
+    oracle_rows,
+    out_bytes,
+    override_vectors,
+    reference_rows,
+    rows_denoiser,
+)
 
 
 def ref_cosine(u, v):
@@ -41,7 +51,7 @@ def ref_cosine(u, v):
     return float(np.dot(u, v) / (nu * nv))
 
 
-def reference_oracle(state, target, params, table):
+def reference_oracle(state, target, params):
     n, V, mask = len(state.tokens), state.vocab.size, state.vocab.mask_id
     revealed = [int(t) != mask for t in state.tokens]
     if params.mode == "faithful":
@@ -51,11 +61,12 @@ def reference_oracle(state, target, params, table):
     c0, gamma, c_max = (Fraction(repr(x)) for x in (params.c0, params.gamma, params.c_max))
     conf = np.full(n, float(min(c_max, c0 + gamma * Fraction(r, n))), dtype=np.float64)
     if state.embedding_override is not None and params.eta > 0.0:
+        table, vectors = state.embedding_override.table, override_vectors(state.embedding_override)
         mask_vec = table.mask_vector()
         for i in range(n):
             if not revealed[i]:
                 target_vec = table.rows[target[i]]
-                bonus = ref_cosine(state.embedding_override[i], target_vec) - ref_cosine(mask_vec, target_vec)
+                bonus = ref_cosine(vectors[i], target_vec) - ref_cosine(mask_vec, target_vec)
                 conf[i] = min(params.c_max, max(0.0, conf[i] + params.eta * bonus))
     intended = list(target)
     if params.mode == "credulous":
@@ -103,7 +114,8 @@ unit = st.floats(-1.0, 1.0, allow_nan=False, width=64)
 
 @st.composite
 def problems(draw):
-    """(state, target, table): V, n, d small; any mix of masked and revealed."""
+    """(state, target, table): V, n, d small; any mix of masked and revealed;
+    an override, if any, of the target ids or of drawn ids (-1 included)."""
     V = draw(st.integers(2, 6))
     n = draw(st.integers(1, 10))
     d = draw(st.integers(1, 4))
@@ -117,9 +129,10 @@ def problems(draw):
     override = None
     if draw(st.booleans()):
         alpha = draw(st.sampled_from([0.0, 1.0, draw(st.floats(0.0, 1.0))]))
-        override = (1 - alpha) * table.mask_vector() + alpha * rows[target]
+        ids = target
         if draw(st.booleans()):
-            override = np.array(draw(st.lists(unit, min_size=n * d, max_size=n * d))).reshape(n, d)
+            ids = np.array(draw(st.lists(st.integers(-1, V - 1), min_size=n, max_size=n)), dtype=np.int64)
+        override = EmbeddingOverride(ids, alpha, table)
     state = DiffusionState(vocab=vocab, tokens=np.array(tokens), embedding_override=override)
     return state, target, table
 
@@ -170,10 +183,10 @@ def bigram_models(draw, V):
 @given(problems(), oracle_params(), st.data())
 def test_oracle_matches_per_position_loop(problem, params, data):
     state, target, table = problem
-    denoiser, ctx = prepare(target, params, state, table)
+    denoiser, ctx = prepare(target, params, state)
     assert denoiser is noisy_oracle_logits
-    full = reference_oracle(state, target, params, table)
-    expected = via_rows(lambda s: reference_oracle(s, target, params, table))
+    full = reference_oracle(state, target, params)
+    expected = via_rows(lambda s: reference_oracle(s, target, params))
     held = data.draw(held_subsets(state))
     rows = masked_rows(state)
     assert out_bytes(denoiser(state, ctx, rows, held)) == out_bytes(expected(state, ctx, rows, held))
@@ -183,45 +196,96 @@ def test_oracle_matches_per_position_loop(problem, params, data):
     assert oracle_rows(state, ctx, rows).tobytes() == full[rows].tobytes()
 
 
-def reference_bonus(override, target, eta, table):
-    """The per-position bonus loop: both cosines at every position."""
-    mask_vec, rows = table.mask_vector(), table.rows
+def reference_bonus(override, target, eta):
+    """The per-position bonus loop: both cosines at every position, from the
+    override's input vectors."""
+    vectors, mask_vec, rows = override_vectors(override), override.table.mask_vector(), override.table.rows
     return np.array(
-        [eta * (ref_cosine(override[i], rows[t]) - ref_cosine(mask_vec, rows[t])) for i, t in enumerate(target)]
+        [eta * (ref_cosine(vectors[i], rows[t]) - ref_cosine(mask_vec, rows[t])) for i, t in enumerate(target)]
     )
 
 
 @settings(max_examples=300, deadline=None)
 @given(problems(), st.floats(0.0, 3.0, exclude_min=True), st.floats(0.0, 1.0), st.data())
 def test_bonus_matches_per_position_loop(problem, eta, rho, data):
-    """Overrides as interpolation leaves them (dropped rows are copies of the
-    mask vector) and as drawn by `problems`; one with an all-zero row and a
-    dropped row, also with strided (Fortran-order) rows, whose bonus is that
-    of the contiguous copy; tables with and without an all-zero row at a
-    target token. The table's norms and mask cosines are computed once and
-    reused by later runs."""
+    """Overrides as interpolation leaves them (dropped positions are -1) and
+    as drawn by `problems`; one whose first id is the target token whose row
+    is zeroed below and whose last is dropped, also as a strided view of its
+    ids; tables with and without an all-zero row at a target token, so at
+    alpha = 1 a blend is the zero vector. The table's norms, mask cosines
+    and per-alpha blend cosines are computed once and reused by later
+    runs."""
     state, target, table = problem
     n = len(target)
     proposal = np.array(data.draw(st.lists(st.integers(0, table.num_tokens - 1), min_size=n, max_size=n)))
     alpha = data.draw(st.sampled_from([0.0, 1.0, data.draw(st.floats(0.0, 1.0))]))
     rng = DeterministicRng(data.draw(st.integers(0, 2**32)))
-    interpolated = interpolate_embeddings(proposal, table, alpha, rho, rng)
+    interpolated = interpolate_embeddings(proposal, table, alpha, rho, rng).ids
     edges = interpolated.copy()
-    edges[0] = 0.0
-    edges[-1] = table.mask_vector()
+    edges[0] = target[-1]
+    edges[-1] = -1
     zero_row = table.rows.copy()
     zero_row[target[-1]] = 0.0
     params = NoisyOracleParams(eta=eta)
+    drawn = state.embedding_override
     for tbl in (table, EmbeddingTable(rows=zero_row)):
-        for override in (interpolated, state.embedding_override, edges, np.asfortranarray(edges)):
-            if override is None:
-                continue
-            init = all_mask_init(state.vocab, len(target))
-            init.embedding_override = override
-            _, ctx = prepare(target, params, init, tbl)
-            expected = reference_bonus(np.ascontiguousarray(override), target, eta, tbl)
-            assert ctx.bonus.tobytes() == expected.tobytes()
+        overrides = [(ids, alpha) for ids in (interpolated, edges, np.repeat(edges, 2)[::2])]
+        if drawn is not None:
+            overrides.append((drawn.ids, drawn.alpha))
+        for ids, a in overrides:
+            override = EmbeddingOverride(ids, a, tbl)
+            tokens = all_mask_init(state.vocab, n).tokens
+            init = DiffusionState(vocab=state.vocab, tokens=tokens, embedding_override=override)
+            _, ctx = prepare(target, params, init)
+            assert ctx.bonus.tobytes() == reference_bonus(override, target, eta).tobytes()
         assert tbl.row_norms is tbl.row_norms and tbl.mask_cosines is tbl.mask_cosines
+        assert tbl.blend_cosines(alpha) is tbl.blend_cosines(alpha)
+
+
+def float_bits(x):
+    return np.float64(x).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_blend_cosine_memo_matches_the_per_position_reference(data):
+    """Each memo entry, blend and norm-backed cosine alike, is bit for bit
+    the cosine `ref_cosine` takes of position i's input vector, built from
+    the ids by `override_vectors`, and the target row: over drawn tables
+    with zero rows (the mask's included), alpha 0, 1 and drawn, and ids
+    with -1 among them. Alphas are looked up in a drawn order on one table,
+    each memo holds only its own alpha's pairs, and a later lookup of a
+    filled pair returns the entry as it was."""
+    V, n, d = data.draw(st.integers(2, 6)), data.draw(st.integers(1, 12)), data.draw(st.integers(1, 4))
+    rows = np.array(data.draw(st.lists(unit, min_size=(V + 1) * d, max_size=(V + 1) * d))).reshape(V + 1, d)
+    for zero in data.draw(st.sets(st.integers(0, V), max_size=2)):
+        rows[zero] = 0.0
+    table = EmbeddingTable(rows=rows)
+    drawn_alpha = data.draw(st.floats(0.0, 1.0).filter(lambda a: a not in (0.0, 1.0)))
+    alphas = data.draw(st.permutations([0.0, 1.0, drawn_alpha]))
+    seen = {}
+    for alpha in alphas:
+        ids = np.array(data.draw(st.lists(st.integers(-1, V - 1), min_size=n, max_size=n)))
+        ids[data.draw(st.integers(0, n - 1))] = -1
+        target = data.draw(st.lists(st.integers(0, V - 1), min_size=n, max_size=n))
+        override = EmbeddingOverride(ids, alpha, table)
+        vectors = override_vectors(override)
+        memo = table.blend_cosines(alpha)
+        for i, (p, t) in enumerate(zip(ids.tolist(), target)):
+            if p < 0:
+                assert vectors[i].tobytes() == table.mask_vector().tobytes()
+                continue
+            assert float_bits(memo[p, t]) == float_bits(ref_cosine(vectors[i], rows[t]))
+            blend, norm = memo.blends[p]
+            assert blend.tobytes() == vectors[i].tobytes()
+            assert float_bits(norm) == float_bits(np.linalg.norm(vectors[i]))
+        kept = {(p, t) for p, t in zip(ids.tolist(), target) if p >= 0}
+        assert set(memo) == kept and set(memo.blends) == {p for p, _ in kept}
+        seen[alpha] = dict(memo)
+    for alpha, entries in seen.items():
+        memo = table.blend_cosines(alpha)
+        assert dict(memo) == entries
+        assert all(float_bits(memo[key]) == float_bits(value) for key, value in entries.items())
 
 
 @settings(max_examples=100, deadline=None)
@@ -232,10 +296,10 @@ def test_oracle_matches_loop_through_decode(problem, params, persistence):
     state, target, table = problem
     init = all_mask_init(state.vocab, len(target))
     init.embedding_override = state.embedding_override
-    _, ctx = prepare(target, params, init, table)
+    _, ctx = prepare(target, params, init)
     seen = []
 
-    expected = via_rows(lambda s: reference_oracle(s, target, params, table))
+    expected = via_rows(lambda s: reference_oracle(s, target, params))
 
     def checked(state, ctx, rows, held_rows):
         out = noisy_oracle_logits(state, ctx, rows, held_rows)
@@ -269,10 +333,10 @@ def test_bonus_tables_match_the_reference_rows_at_every_revealed_count(problem, 
     order = data.draw(st.permutations(range(n)))
     drawn = np.array(data.draw(st.lists(st.integers(0, V - 1), min_size=n, max_size=n)))
     if state.embedding_override is None:
-        state.embedding_override = 0.5 * table.mask_vector() + 0.5 * table.rows[drawn]
+        state.embedding_override = EmbeddingOverride(drawn, 0.5, table)
     expected = rows_denoiser(oracle_rows)
     with mock.patch.object(warmdiff.denoiser, "_BONUS_TABLE_ENTRIES", budget):
-        denoiser, ctx = prepare(target, params, state, table)
+        denoiser, ctx = prepare(target, params, state)
         assert (ctx.bonus_conf is None) == (budget < (n + 1) * n)
         for source in (target, drawn):
             for k in range(n + 1):
@@ -286,14 +350,16 @@ def test_bonus_tables_match_the_reference_rows_at_every_revealed_count(problem, 
 
 
 def tie_problem():
-    """V = 4, n = 6, an override whose bonus is positive at positions 0 and
-    3, exactly 0 at 1 and 4 (the mask vector) and negative at 2 and 5."""
+    """V = 4, n = 6, an override at alpha = 1 whose bonus is positive at
+    positions 0 and 3, exactly 0 at 1 and 4 (dropped: the mask vector) and
+    negative at 2 and 5."""
     rows = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]])
     target = np.array([0, 1, 2, 3, 0, 0])
-    override = np.array([rows[0], rows[4], -rows[2], rows[3], rows[4], -rows[0]])
-    state = all_mask_init(Vocabulary(4), 6)
-    state.embedding_override = override
-    return state, target, EmbeddingTable(rows=rows)
+    table = EmbeddingTable(rows=rows)
+    # The inputs rows[0], mask, -rows[2] = rows[0], rows[3], mask, -rows[0] = rows[2].
+    override = EmbeddingOverride(np.array([0, -1, 0, 3, -1, 2]), 1.0, table)
+    state = DiffusionState(vocab=Vocabulary(4), tokens=np.full(6, 4), embedding_override=override)
+    return state, target
 
 
 @pytest.mark.parametrize("budget", [42, 41])
@@ -303,10 +369,10 @@ def test_bonus_ties_at_the_uniform_level(budget, mode):
     four equal entries whose argmax is token 0; the negative ones here clip
     to 0, leaving the intended token below the rest, whose lowest id wins.
     With the tables (budget 42 = 7 * 6) and without them."""
-    state, target, table = tie_problem()
+    state, target = tie_problem()
     params = NoisyOracleParams(c0=0.25, gamma=0.5, eta=1.0, c_max=0.25, mode=mode)
     with mock.patch.object(warmdiff.denoiser, "_BONUS_TABLE_ENTRIES", budget):
-        denoiser, ctx = prepare(target, params, state, table)
+        denoiser, ctx = prepare(target, params, state)
         assert (ctx.bonus_conf is None) == (budget == 41)
         rows = masked_rows(state)
         best, conf, _ = got = denoiser(state, ctx, rows, NO_HELD)
@@ -328,11 +394,11 @@ def test_bonus_tables_stop_at_the_entry_budget():
     table = EmbeddingTable(rows=rng.standard_normal((9, 4)))
     for n in (255, 256):
         target = rng.integers(0, 8, n)
-        state = all_mask_init(Vocabulary(8), n)
-        state.embedding_override = rng.standard_normal((n, 4))
+        override = EmbeddingOverride(rng.integers(-1, 8, n), 0.7, table)
+        state = DiffusionState(vocab=Vocabulary(8), tokens=np.full(n, 8), embedding_override=override)
         for mode in ("faithful", "credulous"):
             params = NoisyOracleParams(eta=0.8, mode=mode)
-            denoiser, ctx = prepare(target, params, state, table)
+            denoiser, ctx = prepare(target, params, state)
             if n == 255:
                 assert ctx.bonus_conf.shape == (256, 255)
                 assert ctx.bonus_best.shape == ({"faithful": 1, "credulous": 2}[mode], 256, 255)
@@ -468,7 +534,7 @@ def test_decode_asks_for_the_masked_rows_and_holds_the_injected_ones(kind, metho
         proposal = propose_corrupted(vocab, target, 0.4, DeterministicRng(seed + 10))
         wcfg = WarmStartConfig(method=method, rho=0.5, alpha=0.7)
         init = warm_init(vocab, proposal, table, wcfg, DeterministicRng(seed + 20))
-        denoiser, ctx = prepare(target, params, init, table)
+        denoiser, ctx = prepare(target, params, init)
         held_seen = []
 
         def spy(state, ctx, rows, held_rows):
@@ -507,7 +573,7 @@ def reference_cases(draw):
         pinned = draw(st.sampled_from([None, uniform, *(float(np.nextafter(uniform, x)) for x in (0.0, 1.0))]))
         if pinned is not None:
             params = replace(params, c0=pinned, c_max=pinned)
-    denoiser, ctx = prepare(target, params, state, table)
+    denoiser, ctx = prepare(target, params, state)
     return kind, denoiser, ctx, state, draw(masked_subsets(state)), draw(held_subsets(state))
 
 
@@ -602,7 +668,11 @@ def test_markov_proposal_at_the_ends_of_the_unit_interval_and_on_cdf_ties(data):
 # Each check the denoisers used to run on every call now runs once, in prepare.
 V3 = Vocabulary(3)
 MODEL3 = BigramModel(3, np.ones((3, 3)), np.full(3, 3.0))
-OVERRIDDEN = DiffusionState(vocab=V3, tokens=np.array([3, 3]), embedding_override=np.ones((2, 2)))
+OVERRIDDEN = DiffusionState(
+    vocab=V3,
+    tokens=np.array([3, 3]),
+    embedding_override=EmbeddingOverride([0, 1], 0.5, EmbeddingTable(np.ones((4, 2)))),
+)
 
 
 @pytest.mark.parametrize(
@@ -614,7 +684,7 @@ OVERRIDDEN = DiffusionState(vocab=V3, tokens=np.array([3, 3]), embedding_overrid
         (([0, 1, 2], NoisyOracleParams(), all_mask_init(V3, 2)), "length 2"),
         (([0, -1], MODEL3, all_mask_init(V3, 2)), "outside the vocabulary"),  # negative
         (([0, 3], NoisyOracleParams(), all_mask_init(V3, 2)), "outside the vocabulary"),  # >= V
-        (([0, 1], NoisyOracleParams(eta=0.5), OVERRIDDEN), "embedding table required"),
+        ((1, NoisyOracleParams(eta=0.5), OVERRIDDEN), "shape \\(\\)"),  # 0-d
         (([0, 1], BigramModel(2, np.ones((2, 2)), np.full(2, 2.0)), all_mask_init(V3, 2)), "bigram model vocabulary"),
     ],
 )
@@ -636,7 +706,8 @@ def test_prepare_picks_the_denoiser_from_the_params_type():
 
 
 def test_override_without_a_prepared_bonus_raises():
-    """A context built without a table cannot silently drop the bonus."""
+    """A context built from a state without an override cannot silently
+    drop the bonus of a state with one."""
     denoiser, ctx = prepare([0, 1], NoisyOracleParams(eta=0.5), all_mask_init(V3, 2))
     assert ctx.bonus is None
     with pytest.raises(ValueError):
@@ -648,8 +719,8 @@ def test_context_with_a_bonus_but_no_tables_matches_the_reference_rows(mode):
     """A context given the bonus column without the tables that `prepare`
     builds within the budget gets the bonus rows computed per call: bit for
     bit the reference rows, and so the tables' answer."""
-    state, target, table = tie_problem()
-    denoiser, ctx = prepare(target, NoisyOracleParams(eta=0.5, mode=mode), state, table)
+    state, target = tie_problem()
+    denoiser, ctx = prepare(target, NoisyOracleParams(eta=0.5, mode=mode), state)
     assert ctx.bonus_conf is not None
     by_hand = DenoiseContext(target=ctx.target, params=ctx.params, levels=ctx.levels, bonus=ctx.bonus)
     for reveal in ([], [1, 2]):

@@ -102,7 +102,7 @@ def runs(draw):
             mode=draw(st.sampled_from(["faithful", "credulous"])),
             window=draw(st.sampled_from([1, 3, 5])),
         )
-    denoiser, ctx = prepare(target, params, init, table)
+    denoiser, ctx = prepare(target, params, init)
     rows_fn = reference_rows(kind)
     knobs = dict(
         remask_enabled=draw(st.booleans()),

@@ -4,6 +4,8 @@ import pytest
 from warmdiff.core import DeterministicRng, EmbeddingTable, Vocabulary, all_mask_init
 from warmdiff.warmstart import WarmStartConfig, inject_tokens, interpolate_embeddings, warm_init
 
+from reference_rows import memo_vectors, override_vectors
+
 
 def make_proposal(tokens):
     return np.asarray(tokens, dtype=np.int64)
@@ -42,29 +44,44 @@ class TestInjectTokens:
 
 
 class TestInterpolateEmbeddings:
+    """`interpolate_embeddings` gives ids; the input vectors they stand for
+    are read from the table's memo (`memo_vectors`) and from the one-pass
+    reference (`override_vectors`), which must agree bit for bit."""
+
     def setup_method(self):
         self.v = Vocabulary(4)
         self.table = EmbeddingTable.random(self.v, 5, DeterministicRng(8))
         self.prop = make_proposal([0, 1, 2, 3, 0, 2])
 
+    def vectors(self, override):
+        out = memo_vectors(override)
+        assert out.tobytes() == override_vectors(override).tobytes()
+        return out
+
     def test_alpha_zero_bitwise_mask_everywhere(self):
-        out = interpolate_embeddings(self.prop, self.table, 0.0, 0.7, DeterministicRng(9))
+        override = interpolate_embeddings(self.prop, self.table, 0.0, 0.7, DeterministicRng(9))
+        assert (override.ids == -1).any() and (override.ids >= 0).any()
         expected = np.tile(self.table.mask_vector(), (6, 1))
-        assert out.tobytes() == expected.tobytes()
+        assert self.vectors(override).tobytes() == expected.tobytes()
 
     def test_alpha_one_keep_all_copies_embeddings(self):
-        out = interpolate_embeddings(self.prop, self.table, 1.0, 1.0, DeterministicRng(9))
+        override = interpolate_embeddings(self.prop, self.table, 1.0, 1.0, DeterministicRng(9))
+        assert override.ids.tolist() == self.prop.tolist()
         expected = self.table.rows[self.prop]
-        assert out.tobytes() == expected.tobytes()
+        assert self.vectors(override).tobytes() == expected.tobytes()
 
     def test_direct_arithmetic(self):
         table = EmbeddingTable(rows=np.array([[1.0, 2.0], [3.0, 4.0], [0.0, 0.0]]))
         prop = make_proposal([0])
-        out = interpolate_embeddings(prop, table, 0.6, 1.0, DeterministicRng(0))
-        assert out[0].tolist() == [0.6, 1.2]
+        override = interpolate_embeddings(prop, table, 0.6, 1.0, DeterministicRng(0))
+        assert override.ids.dtype == np.int64 and override.ids.tolist() == [0]
+        assert override.alpha == 0.6 and override.table is table
+        assert self.vectors(override)[0].tolist() == [0.6, 1.2]
 
     def test_convexity(self):
-        out = interpolate_embeddings(self.prop, self.table, 0.37, 0.5, DeterministicRng(10))
+        override = interpolate_embeddings(self.prop, self.table, 0.37, 0.5, DeterministicRng(10))
+        assert set(override.ids.tolist()) <= {-1, *self.prop.tolist()}
+        out = self.vectors(override)
         mask_vec = self.table.mask_vector()
         for i in range(6):
             lo = np.minimum(mask_vec, self.table.rows[self.prop[i]])
@@ -75,8 +92,13 @@ class TestInterpolateEmbeddings:
     def test_proposal_outside_table_rejected(self):
         small = EmbeddingTable(rows=np.zeros((3, 2)))  # V = 2
         for tokens in ([2], [0, -1]):  # index -1 would silently read the mask row
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="proposal"):
                 interpolate_embeddings(make_proposal(tokens), small, 0.5, 1.0, DeterministicRng(0))
+
+    @pytest.mark.parametrize("alpha", [-0.1, 1.5, float("nan")])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            interpolate_embeddings(self.prop, self.table, alpha, 0.5, DeterministicRng(0))
 
 
 class TestWarmInit:
@@ -112,8 +134,9 @@ class TestWarmInit:
         state = warm_init(self.v, self.prop, self.table, cfg, DeterministicRng(22))
         assert int(state.masked().sum()) == 5
         assert state.injected.tolist() == []
-        assert state.embedding_override is not None
-        assert state.embedding_override.shape == (5, 3)
+        override = state.embedding_override
+        assert override is not None
+        assert override.ids.shape == (5,) and override.alpha == 0.6 and override.table is self.table
 
     def test_interpolation_without_table_rejected(self):
         cfg = WarmStartConfig(method="embedding-interpolation")
