@@ -8,6 +8,7 @@ whitespace-separated base-10 token ids.
 from __future__ import annotations
 
 from array import array
+from functools import cached_property
 
 import numpy as np
 
@@ -19,6 +20,8 @@ class BigramModel:
 
     `counts[a, b]` is the number of observed a -> b adjacencies;
     `token_counts[v]` the number of occurrences of v (for the unigram).
+    The markov denoiser reads `pair_tables`, which are built on its first
+    call, not with the model.
     """
 
     def __init__(self, num_tokens: int, counts: np.ndarray, token_counts: np.ndarray):
@@ -53,6 +56,17 @@ class BigramModel:
         # array("d") rows bisect as fast as lists in a quarter of the memory.
         self.next_cdf = [array("d", row) for row in np.cumsum(self.next_table, axis=1)]
 
+    @cached_property
+    def pair_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(pair_best, pair_conf), each (V+1) x (V+1): the argmax (the lowest
+        id on ties) and the maximum of the markov denoiser's row
+        half_next_table[a] + half_prev_table[b] at [a, b], the mask id V
+        standing for "no revealed neighbour" on either side. Built on first
+        use, then kept with the model, so `fit` and a model that only
+        proposes never pay the (V+1)^2 * V operations: about 1 ms at V = 64,
+        25 ms at 256, 4 s at 1024 and 43 s at 2048 on a 2-core VM."""
+        return _pair_tables(self.half_next_table, self.half_prev_table)
+
     @classmethod
     def fit(cls, sequences: list[list[int]], num_tokens: int) -> "BigramModel":
         # No dtype: a token beyond int64 makes an object array, which the
@@ -85,6 +99,20 @@ class BigramModel:
 
     def unigram(self) -> np.ndarray:
         return (self.token_counts + 1.0) / (self.token_counts.sum() + self.num_tokens)
+
+
+def _pair_tables(half_next: np.ndarray, half_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pair tables of `BigramModel.pair_tables`, one left token a at a
+    time: every row is the same float add a per-call row would run, so each
+    entry is that row's own, and no (V+1)^2 x V array is held."""
+    best = np.empty((len(half_next), len(half_prev)), dtype=np.int64)
+    conf = np.empty(best.shape)
+    b = np.arange(len(half_prev))
+    for a, half in enumerate(half_next):
+        rows = half + half_prev
+        best[a] = rows.argmax(axis=1)
+        conf[a] = rows[b, best[a]]
+    return best, conf
 
 
 def load_corpus(path: str) -> list[list[int]]:

@@ -16,7 +16,10 @@ revealed positions. Nothing checks that `rows` are masked: `decode` passes
 them so, and a check would cost a gather per call.
 `prepare` picks the denoiser from the type of its params, checks a run's
 inputs once and builds the context. The markov denoiser's context is its
-`BigramModel`, whose tables are built with it. The oracle's is a
+`BigramModel`: a masked row depends only on its nearest revealed
+neighbours, so the model tabulates each neighbour pair's (best, conf) once,
+on the denoiser's first call (`BigramModel.pair_tables`), and a call gathers
+two entries per row. The oracle's is a
 `DenoiseContext`, precomputing what stays constant over the run: the
 embedding bonus per position, from the cosines that the override's table
 memoizes per alpha (`EmbeddingTable.blend_cosines`), and with it the
@@ -274,10 +277,11 @@ def markov_logits(state: DiffusionState, model: BigramModel, rows, held_rows):
 
     Each row is 0.5 * P(. | nearest revealed token to the left) plus
     0.5 * P_reverse(. | nearest revealed token to the right); a side with no
-    revealed token contributes the unigram instead. The masked rows are
-    gathered and reduced; a held position's entry is the same single float
-    add, read at its token, with its own token excluded from "nearest". The
-    context is the model itself.
+    revealed token contributes the unigram instead. A masked row depends
+    only on that pair of neighbours, so its (best, conf) is read from the
+    model's pair tables, two gathers; a held position's entry is the same
+    single float add, read at its token, with its own token excluded from
+    "nearest". The context is the model itself.
     """
     tokens, mask_id = state.tokens, state.vocab.mask_id
     # The revealed tokens in position order, padded at both ends with the
@@ -285,12 +289,13 @@ def markov_logits(state: DiffusionState, model: BigramModel, rows, held_rows):
     # positions lie left of a masked row, so its neighbours are ext[i] and
     # ext[i + 1].
     revealed = (tokens != mask_id).nonzero()[0]
-    ext = np.full(len(revealed) + 2, mask_id)
+    ext = np.empty(len(revealed) + 2, dtype=np.int64)
+    ext[0] = ext[-1] = mask_id
     ext[1:-1] = tokens[revealed]
     i = revealed.searchsorted(rows)
-    gathered = model.half_next_table[ext[i]] + model.half_prev_table[ext[i + 1]]
-    best = gathered.argmax(axis=1)
-    conf = gathered[np.arange(len(rows)), best]
+    left, right = ext[i], ext[i + 1]
+    pair_best, pair_conf = model.pair_tables
+    best, conf = pair_best[left, right], pair_conf[left, right]
 
     held = _NO_HELD
     if len(held_rows):

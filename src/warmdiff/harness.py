@@ -58,10 +58,14 @@ class InvariantViolation(RuntimeError):
     """A decode trace broke one of the runtime invariants."""
 
 
-# Most entries a config may ask for in its embedding table ((vocab_size + 1)
-# x embed_dim) and in n x vocab_size, which bounds the rows the markov
-# denoiser gathers per call (len(rows) x vocab_size, at most n rows): far
-# above any study this engine is for, far below what exhausts memory or time.
+# Most entries a config may ask for: in its embedding table ((vocab_size + 1)
+# x embed_dim); in n x vocab_size, the probability rows of a whole state,
+# which a denoiser's answer stands for without building them; and, where a
+# bigram model is fit, in each of its (vocab_size + 1) x (vocab_size + 1)
+# tables. Far above any study this engine is for, far below what exhausts
+# memory. The markov denoiser's pair tables take (vocab_size + 1)^2 *
+# vocab_size operations to build, once per model: about 4 s at vocab_size =
+# 1024 on a 2-core VM.
 MAX_ENTRIES = 2**24
 
 # ---------------------------------------------------------------------------
@@ -305,8 +309,6 @@ class RunResources:
 
 
 def build_resources(cfg: ExperimentConfig) -> RunResources:
-    vocab = Vocabulary(cfg.vocab_size)
-    table = EmbeddingTable.random(vocab, cfg.embed_dim, DeterministicRng(cfg.seed))
     needs_corpus = (
         cfg.denoiser_kind == "markov"
         or cfg.target_source == "corpus"
@@ -317,6 +319,8 @@ def build_resources(cfg: ExperimentConfig) -> RunResources:
     if needs_corpus:
         if not cfg.corpus_path:
             raise ConfigError("this configuration needs corpus.path to be set")
+        if (cfg.vocab_size + 1) ** 2 > MAX_ENTRIES:
+            raise ConfigError(f"a bigram model needs (vocab_size + 1)**2 <= {MAX_ENTRIES} table entries")
         try:
             corpus = load_corpus(cfg.corpus_path)
             bigram = BigramModel.fit(corpus, cfg.vocab_size)  # range-checks every token
@@ -325,6 +329,7 @@ def build_resources(cfg: ExperimentConfig) -> RunResources:
         target_seqs = [s for s in corpus if len(s) >= cfg.n]
         if cfg.target_source == "corpus" and not target_seqs:
             raise ConfigError(f"corpus has no sequence of length >= n = {cfg.n}")
+    table = EmbeddingTable.random(Vocabulary(cfg.vocab_size), cfg.embed_dim, DeterministicRng(cfg.seed))
     return RunResources(table=table, bigram=bigram, target_seqs=target_seqs)
 
 

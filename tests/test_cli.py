@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from warmdiff import cli
+from warmdiff import cli, harness
 from warmdiff.harness import CSV_COLUMNS
 
 
@@ -119,6 +119,48 @@ class TestRun:
         assert proc.returncode == 1
         err = proc.stderr.splitlines()
         assert len(err) == 1 and err[0].startswith("config error: ") and "<= 16777216" in err[0]
+
+
+    def test_bigram_config_beyond_the_table_bound_exits_one(self, tmp_path):
+        """n * vocab_size = 2^24 passes the run's own bound, but the bigram
+        model's (vocab_size + 1)^2 tables would hold 2^40 entries: a config
+        error, reported before the corpus is read."""
+        corpus = write(tmp_path / "corpus.txt", "0 1 2 3\n")
+        text = f'n = 16\nvocab_size = 1048576\ndenoiser.kind = "markov"\ncorpus.path = "{corpus}"\n'
+        cfg = write(tmp_path / "cfg.txt", text)
+        proc = subprocess.run(
+            [sys.executable, "-m", "warmdiff", "run", "--config", cfg],
+            capture_output=True, text=True, timeout=30, env=package_env(),
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        err = proc.stderr.splitlines()
+        assert err == ["config error: a bigram model needs (vocab_size + 1)**2 <= 16777216 table entries"]
+
+    @pytest.mark.parametrize(
+        "needs_bigram",
+        [
+            'denoiser.kind = "markov"',
+            'target_source = "corpus"',
+            'proposer.kind = "markov"\nwarmstart.method = "token-injection"',
+        ],
+        ids=["markov-denoiser", "corpus-target", "markov-proposer"],
+    )
+    def test_bigram_table_bound_is_inclusive(self, tmp_path, capsys, monkeypatch, needs_bigram):
+        """With the bound at 25 entries, vocab_size = 4 fills a bigram table
+        exactly and runs; vocab_size = 5 does not. An oracle-only config of
+        vocab_size = 24 still runs: it fits no bigram model."""
+        monkeypatch.setattr(harness, "MAX_ENTRIES", 25)
+        corpus = write(tmp_path / "corpus.txt", "0 1 2 3 0 1 2 3\n")
+        small = f'n = 4\nembed_dim = 1\nnum_runs = 2\ncorpus.path = "{corpus}"\n{needs_bigram}\n'
+        assert cli.main(["run", "--config", write(tmp_path / "v4.txt", small + "vocab_size = 4\n")]) == 0
+        capsys.readouterr()
+        assert cli.main(["run", "--config", write(tmp_path / "v5.txt", small + "vocab_size = 5\n")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["config error: a bigram model needs (vocab_size + 1)**2 <= 25 table entries"]
+        oracle_only = "n = 1\nembed_dim = 1\nnum_runs = 2\nvocab_size = 24\n"
+        assert cli.main(["run", "--config", write(tmp_path / "oracle.txt", oracle_only)]) == 0
+        capsys.readouterr()
 
 
 class TestSweep:

@@ -24,10 +24,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import warmdiff.denoiser
+from warmdiff import bigram
 from warmdiff.bigram import BigramModel
 from warmdiff.core import DeterministicRng, DiffusionState, EmbeddingOverride, EmbeddingTable, Vocabulary, all_mask_init
 from warmdiff.decoder import DecodeConfig, decode
 from warmdiff.denoiser import DenoiseContext, NoisyOracleParams, markov_logits, noisy_oracle_logits, prepare
+from warmdiff.harness import build_config, build_resources, run_experiment
 from warmdiff.proposal import propose_corrupted, propose_markov
 from warmdiff.warmstart import METHODS, WarmStartConfig, inject_tokens, interpolate_embeddings, warm_init
 
@@ -618,6 +620,69 @@ def test_bigram_tables_hold_the_query_rows(data):
         assert model.next_table[a].tobytes() == model.next_probs(a).tobytes()
         assert model.prev_table[a].tobytes() == model.prev_probs(a).tobytes()
     assert model.next_table[V].tobytes() == model.prev_table[V].tobytes() == model.unigram().tobytes()
+
+
+def pair_row(model, a, b):
+    """The reference row of a masked position whose nearest revealed
+    neighbours are a and b, the mask id V standing for none."""
+    V = model.num_tokens
+    state = DiffusionState(vocab=Vocabulary(V), tokens=np.array([a, V, b]))
+    return markov_rows(state, model, np.array([1]))[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_pair_tables_hold_each_neighbour_pairs_argmax_and_max(data):
+    V = data.draw(st.integers(2, 6))
+    model = data.draw(bigram_models(V))
+    pair_best, pair_conf = model.pair_tables
+    assert pair_best.shape == pair_conf.shape == (V + 1, V + 1) and pair_best.dtype == np.int64
+    for a in range(V + 1):
+        for b in range(V + 1):
+            row = pair_row(model, a, b)
+            assert pair_best[a, b] == row.argmax()
+            assert float_bits(pair_conf[a, b]) == float_bits(row.max())
+
+
+def test_pair_tables_break_exact_ties_at_the_lowest_id():
+    """MODEL3's rows are uniform, every entry of each an exact tie."""
+    pair_best, pair_conf = MODEL3.pair_tables
+    assert pair_best.tolist() == [[0] * 4] * 4
+    for a in range(4):
+        for b in range(4):
+            row = pair_row(MODEL3, a, b)
+            assert (row == row[0]).all() and float_bits(pair_conf[a, b]) == float_bits(row[0])
+
+
+def pair_tables_built(model):
+    return "pair_tables" in vars(model)
+
+
+def markov_config(tmp_path, **overrides):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("0 1 2 3 0 1 2 3 0 1 2 3\n2 3 0 1 2 3 0 1\n", encoding="utf-8")
+    return build_config({
+        "n": 6, "vocab_size": 4, "num_runs": 5, "corpus.path": str(corpus),
+        "proposer.kind": "markov", "warmstart.method": "token-injection", **overrides,
+    })
+
+
+def test_pair_tables_wait_for_the_markov_denoisers_first_call(tmp_path):
+    """Neither `fit` nor `build_resources` builds the pair tables, a run
+    whose model only proposes never does, and a model serving many runs
+    builds them once."""
+    assert not pair_tables_built(BigramModel.fit([[0, 1, 2, 1]], 3))
+    with mock.patch.object(bigram, "_pair_tables", wraps=bigram._pair_tables) as build:
+        proposer_only = markov_config(tmp_path)
+        resources = build_resources(proposer_only)
+        assert not pair_tables_built(resources.bigram)
+        run_experiment(proposer_only, resources=resources)
+        assert not pair_tables_built(resources.bigram) and build.call_count == 0
+        markov = markov_config(tmp_path, **{"denoiser.kind": "markov"})
+        resources = build_resources(markov)
+        assert not pair_tables_built(resources.bigram)
+        record, _ = run_experiment(markov, resources=resources)
+    assert sum(r.nfe for r in record.runs) > 1 and pair_tables_built(resources.bigram) and build.call_count == 1
 
 
 @settings(max_examples=100, deadline=None)

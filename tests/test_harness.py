@@ -444,6 +444,41 @@ class TestSweep:
         assert without_grid_id(swept) == without_grid_id(separate)
         assert separate[0].mean_nfe != separate[1].mean_nfe
 
+    def test_markov_sweep_matches_separate_runs(self, tmp_path, monkeypatch):
+        """A markov sweep shares one bigram model, and with it the pair
+        tables its first call builds, across its grid points; its rows,
+        grid_id aside, are those of a fresh run_experiment per tau, each
+        fitting its own model."""
+        # Mostly t -> t + 1 (mod 16), every fifth token or so drawn from an
+        # LCG, so rows next to revealed tokens are confident and tau matters.
+        x, lines = 7, []
+        for _ in range(12):
+            seq = [x % 16]
+            for _ in range(39):
+                x = (x * 75 + 74) % 65537
+                seq.append(x % 16 if x % 5 == 0 else (seq[-1] + 1) % 16)
+            lines.append(" ".join(map(str, seq)))
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        grid = {
+            "n": 24, "vocab_size": 16, "num_runs": 20, "seed": 5, "target_source": "corpus",
+            "corpus.path": str(corpus), "denoiser.kind": "markov", "proposer.kind": "markov",
+            "decode.remask_enabled": True, "warmstart.method": "token-injection", "warmstart.rho": 0.25,
+            "decode.tau": [0.5, 0.9],
+        }
+        separate = [run_experiment(build_config(point))[0] for point in expand_grid(grid)]
+        built = []
+        monkeypatch.setattr(harness, "build_resources", lambda cfg: built.append(build_resources(cfg)) or built[-1])
+        swept = sweep(grid)
+        assert len(built) == 1 and "pair_tables" in vars(built[0].bigram)
+        assert [r.grid_id for r in swept] == [0, 1] and [r.tau for r in swept] == [0.5, 0.9]
+
+        def without_grid_id(records):
+            return [line.partition(",")[2] for line in csv_lines(records)]
+
+        assert without_grid_id(swept) == without_grid_id(separate)
+        assert separate[0].mean_nfe != separate[1].mean_nfe
+
     def test_many_runs_at_large_v_keep_the_memo_within_its_bounds(self, monkeypatch):
         """With the memo's bounds shrunk below what many runs at a large V
         look up, the table's memo stays within them and the rows are those
