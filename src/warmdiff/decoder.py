@@ -12,18 +12,20 @@ remasked at most once.
 `decode` is the one caller of a denoiser: each call passes the masked
 positions and the still-injected ones, and the denoiser returns only what
 the loop reads, `(best, conf, held)`, not probability rows (see
-`warmdiff.denoiser`). The record view `DecodeTrace.iterations` and the row
-reducer `confidences`, which nothing here calls, stay public only because
-the benchmark (`bench/measure.py`) counts from the one and wraps the other
-by name.
+`warmdiff.denoiser`). The trace is recorded in Python lists, one entry per
+unmask or remask, and each column is built once at the end as an int64 or
+float64 array, whatever dtypes the denoiser returned. Most iterations unmask
+a single position; that step reads its position, token and confidence as
+Python scalars and stores them without fancy indexing. The record view
+`DecodeTrace.iterations` and the row reducer `confidences`, which nothing
+here calls, stay public only because the benchmark (`bench/measure.py`)
+counts from the one and wraps the other by name.
 """
 
 from __future__ import annotations
 
 import warnings
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -103,26 +105,18 @@ class DecodeTrace:
     nfe: int
     capped: bool
 
-    def by_iteration(self, unmasked: Iterable, remasked: Iterable) -> Iterator:
-        """(k, its unmask entries, its remask entries, masked_after) for
-        k = 1..nfe, cutting per-entry sequences in column order by the
-        counts. Each iteration's entries must be read before the next."""
-        unmasked, remasked = iter(unmasked), iter(remasked)
-        per_iteration = zip(self.unmask_counts.tolist(), self.remask_counts.tolist(), self.masked_after.tolist())
-        for k, (nu, nr, after) in enumerate(per_iteration, start=1):
-            yield k, islice(unmasked, nu), islice(remasked, nr), after
-
     @property
     def iterations(self) -> list[IterationRecord]:
         """The columns rebuilt as one record per iteration: a read-only view
         that `bench/measure.py` counts from, outside its timed region."""
-        unmasked = zip(self.unmask_pos.tolist(), self.unmask_tok.tolist(), self.unmask_conf.tolist())
-        remasked = zip(self.remask_pos.tolist(), self.remask_rate.tolist())
-        return [IterationRecord(k, list(u), list(r), after) for k, u, r, after in self.by_iteration(unmasked, remasked)]
-
-
-def _cat(parts: list[np.ndarray], dtype) -> np.ndarray:
-    return np.concatenate(parts) if parts else np.empty(0, dtype)
+        unmasked = list(zip(self.unmask_pos.tolist(), self.unmask_tok.tolist(), self.unmask_conf.tolist()))
+        remasked = list(zip(self.remask_pos.tolist(), self.remask_rate.tolist()))
+        records, u, r = [], 0, 0
+        per_iteration = zip(self.unmask_counts.tolist(), self.remask_counts.tolist(), self.masked_after.tolist())
+        for k, (nu, nr, after) in enumerate(per_iteration, start=1):
+            records.append(IterationRecord(k, unmasked[u : u + nu], remasked[r : r + nr], after))
+            u, r = u + nu, r + nr
+        return records
 
 
 def confidences(pi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -198,12 +192,13 @@ def decode(
             stacklevel=2,
         )
 
-    # Per-iteration pieces of the trace columns, concatenated once at the end.
+    # The trace columns, one entry per unmask or remask, as Python lists.
     unmask_counts, unmask_pos, unmask_tok, unmask_conf = [], [], [], []
     remask_counts, remask_pos, remask_rate, masked_after = [], [], [], []
     k = 0
     # Carried across iterations and updated only where one unmasks or
     # remasks: the masked positions and their count.
+    tokens = state.tokens
     masked = state.masked()
     n_masked = int(np.count_nonzero(masked))
     no_positions = np.empty(0, np.int64)
@@ -222,15 +217,24 @@ def decode(
         if np.count_nonzero(np.isfinite(conf)) + np.count_nonzero(np.isfinite(held)) < len(conf) + len(held):
             raise ValueError(f"denoiser returned non-finite probabilities at iteration {k}")
         picked = select_unmask(conf, dcfg.tau)
-        chosen = rows[picked]
-        tokens = best[picked]
-        unmask_counts.append(len(chosen))
-        unmask_pos.append(chosen)
-        unmask_tok.append(tokens)
-        unmask_conf.append(conf[picked])
-        state.tokens[chosen] = tokens
-        masked[chosen] = False
-        n_masked -= len(chosen)
+        if len(picked) == 1:
+            # Scalar reads and stores cost less than fancy indexing.
+            i = picked.item(0)
+            pos, tok = rows.item(i), best.item(i)
+            unmask_pos.append(pos)
+            unmask_tok.append(tok)
+            unmask_conf.append(conf.item(i))
+            tokens[pos] = tok
+            masked[pos] = False
+        else:
+            chosen, chosen_tokens = rows[picked], best[picked]
+            unmask_pos.extend(chosen.tolist())
+            unmask_tok.extend(chosen_tokens.tolist())
+            unmask_conf.extend(conf[picked].tolist())
+            tokens[chosen] = chosen_tokens
+            masked[chosen] = False
+        unmask_counts.append(len(picked))
+        n_masked -= len(picked)
 
         n_remasked = 0
         if eligible.size:
@@ -238,8 +242,8 @@ def decode(
             positions, hit_rates = apply_remask(state, rates, rng, k)
             n_remasked = len(positions)
             if n_remasked:
-                remask_pos.append(positions)
-                remask_rate.append(hit_rates)
+                remask_pos.extend(positions.tolist())
+                remask_rate.extend(hit_rates.tolist())
                 masked[positions] = True
                 n_masked += n_remasked
         remask_counts.append(n_remasked)
@@ -247,14 +251,14 @@ def decode(
 
     return DecodeTrace(
         unmask_counts=np.array(unmask_counts, dtype=np.int64),
-        unmask_pos=_cat(unmask_pos, np.int64),
-        unmask_tok=_cat(unmask_tok, np.int64),
-        unmask_conf=_cat(unmask_conf, np.float64),
+        unmask_pos=np.array(unmask_pos, dtype=np.int64),
+        unmask_tok=np.array(unmask_tok, dtype=np.int64),
+        unmask_conf=np.array(unmask_conf, dtype=np.float64),
         remask_counts=np.array(remask_counts, dtype=np.int64),
-        remask_pos=_cat(remask_pos, np.int64),
-        remask_rate=_cat(remask_rate, np.float64),
+        remask_pos=np.array(remask_pos, dtype=np.int64),
+        remask_rate=np.array(remask_rate, dtype=np.float64),
         masked_after=np.array(masked_after, dtype=np.int64),
-        final_tokens=state.tokens,
+        final_tokens=tokens,
         nfe=k,
         capped=n_masked > 0,
     )

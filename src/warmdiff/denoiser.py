@@ -263,7 +263,10 @@ def noisy_oracle_logits(state: DiffusionState, ctx: DenoiseContext, rows, held_r
         else:
             raise ValueError("context has no embedding bonus; build it with prepare from the overridden state")
     else:
-        best, conf = _uniform_best(hi, lo, target[rows]), np.full(len(rows), max(hi, lo))
+        best = _uniform_best(hi, lo, target[rows])
+        # np.empty plus fill: the bytes of np.full, without its Python wrapper.
+        conf = np.empty(len(rows))
+        conf.fill(max(hi, lo))
 
     held = _NO_HELD
     if len(held_rows):

@@ -541,21 +541,50 @@ def csv_lines(records: list[MetricsRecord]) -> list[str]:
     return lines
 
 
+# Float reprs already written, shared by every trace this process writes. A
+# trace holds few distinct floats, so most lookups hit. The memo never holds
+# more than _REPRS_BOUND entries (under 1 MB), and a full memo starts over,
+# so it follows what is being written; neither changes a byte of output.
+# Zeros are never stored: 0.0 and -0.0 are one dict key but repr differently.
+_REPRS: dict[float, str] = {}
+_REPRS_BOUND = 2**12
+
+
+def _repr_miss(x: float) -> str:
+    text = repr(x)
+    if x:
+        if len(_REPRS) >= _REPRS_BOUND:
+            _REPRS.clear()
+        _REPRS[x] = text
+    return text
+
+
+def _float_reprs(values: list[float]) -> list[str]:
+    get = _REPRS.get
+    return [get(x) or _repr_miss(x) for x in values]
+
+
 def trace_lines(trace: DecodeTrace, header: dict) -> list[str]:
     """JSON-lines trace: a header object, one object per iteration, and a
     final summary object. Entries are written as json.dumps writes them:
     ints as str, floats as repr, ", " and ": " separators."""
-    unmasked = (
-        f'{{"pos": {p}, "tok": {t}, "conf": {c!r}}}'
-        for p, t, c in zip(trace.unmask_pos.tolist(), trace.unmask_tok.tolist(), trace.unmask_conf.tolist())
-    )
-    remasked = (f'{{"pos": {p}, "rate": {r!r}}}' for p, r in zip(trace.remask_pos.tolist(), trace.remask_rate.tolist()))
+    unmasked = [
+        f'{{"pos": {p}, "tok": {t}, "conf": {c}}}'
+        for p, t, c in zip(trace.unmask_pos.tolist(), trace.unmask_tok.tolist(), _float_reprs(trace.unmask_conf.tolist()))
+    ]
+    remasked = [
+        f'{{"pos": {p}, "rate": {r}}}'
+        for p, r in zip(trace.remask_pos.tolist(), _float_reprs(trace.remask_rate.tolist()))
+    ]
     lines = [json.dumps(header)]
-    for k, unmasks, remasks, after in trace.by_iteration(unmasked, remasked):
+    u = r = 0
+    per_iteration = zip(trace.unmask_counts.tolist(), trace.remask_counts.tolist(), trace.masked_after.tolist())
+    for k, (nu, nr, after) in enumerate(per_iteration, start=1):
         lines.append(
-            f'{{"k": {k}, "unmasked": [{", ".join(unmasks)}], '
-            f'"remasked": [{", ".join(remasks)}], "masked_after": {after}}}'
+            f'{{"k": {k}, "unmasked": [{", ".join(unmasked[u : u + nu])}], '
+            f'"remasked": [{", ".join(remasked[r : r + nr])}], "masked_after": {after}}}'
         )
+        u, r = u + nu, r + nr
     final = ", ".join(map(str, trace.final_tokens.tolist()))
     capped = "true" if trace.capped else "false"
     lines.append(f'{{"final_tokens": [{final}], "nfe": {trace.nfe}, "capped": {capped}}}')
@@ -605,10 +634,13 @@ def check_trace_invariants(trace: DecodeTrace, init: DiffusionState) -> list[str
     unmasked_seen: set[int] = set()
     remasked_seen: set[int] = set()
 
-    unmasked = zip(trace.unmask_pos.tolist(), trace.unmask_tok.tolist(), trace.unmask_conf.tolist())
-    remasked = zip(trace.remask_pos.tolist(), trace.remask_rate.tolist())
-    for idx, unmasks, remasks, masked_after in trace.by_iteration(unmasked, remasked):
-        unmasks = list(unmasks)
+    unmasked = list(zip(trace.unmask_pos.tolist(), trace.unmask_tok.tolist(), trace.unmask_conf.tolist()))
+    remasked = list(zip(trace.remask_pos.tolist(), trace.remask_rate.tolist()))
+    u = r = 0
+    per_iteration = zip(trace.unmask_counts.tolist(), trace.remask_counts.tolist(), trace.masked_after.tolist())
+    for idx, (nu, nr, masked_after) in enumerate(per_iteration, start=1):
+        unmasks, remasks = unmasked[u : u + nu], remasked[r : r + nr]
+        u, r = u + nu, r + nr
         if not unmasks:
             problems.append(f"iteration {idx}: no position unmasked")
         for pos, tok, conf in unmasks:

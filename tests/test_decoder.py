@@ -5,9 +5,11 @@ from hypothesis import strategies as st
 
 from reference_decoder import reference_decode, reference_select_unmask
 from reference_rows import oracle_rows, rows_denoiser
+from reference_trace import RecordTrace, reference_trace_lines
 from warmdiff.core import DeterministicRng, DiffusionState, EmbeddingOverride, EmbeddingTable, Vocabulary, all_mask_init
 from warmdiff.decoder import (
     DecodeConfig,
+    IterationRecord,
     apply_remask,
     confidences,
     decode,
@@ -15,6 +17,7 @@ from warmdiff.decoder import (
     select_unmask,
 )
 from warmdiff.denoiser import NoisyOracleParams, noisy_oracle_logits, prepare
+from warmdiff.harness import trace_lines
 from warmdiff.warmstart import WarmStartConfig, inject_tokens, warm_init
 
 
@@ -425,6 +428,45 @@ class TestScriptedTraceEquivalence:
         # Independent hand check of the first iteration: only position 0
         # clears 0.75, so it unmasks alone with token 0.
         assert [(p, t) for p, t, _ in trace.iterations[0].unmasked] == [(0, 0)]
+
+    def test_narrow_denoiser_dtypes_give_int64_and_float64_columns(self):
+        # float32 rows that depend on the position and the revealed count; the
+        # denoiser reduces them to int32 tokens and float32 confidences. At
+        # tau = 0.9 some iterations unmask several positions above tau, others
+        # force the single most confident one.
+        v, n, tau = Vocabulary(5), 12, 0.9
+        draws = DeterministicRng(41).draws("conf", np.arange(n), np.arange(n + 1))
+
+        def scripted_rows(state, ctx, rows):
+            r = int(np.count_nonzero(state.tokens != v.mask_id))
+            c = (0.3 + 0.7 * draws[rows, r]).astype(np.float32)
+            pi = np.repeat(((1 - c) / (v.size - 1))[:, None], v.size, axis=1)
+            pi[np.arange(len(rows)), (rows + r) % v.size] = c
+            return pi
+
+        def narrow(state, ctx, rows, held_rows):
+            pi = scripted_rows(state, ctx, rows)
+            return pi.argmax(axis=1).astype(np.int32), pi.max(axis=1), np.empty(0, np.float32)
+
+        trace = decode(narrow, None, all_mask_init(v, n), DecodeConfig(tau=tau), DeterministicRng(0))
+        ref_tokens, ref_records = reference_decode(scripted_rows, None, all_mask_init(v, n).tokens, v, tau=tau)
+
+        for name in ("unmask_counts", "unmask_pos", "unmask_tok", "remask_counts", "remask_pos", "masked_after"):
+            assert getattr(trace, name).dtype == np.int64, name
+        for name in ("unmask_conf", "remask_rate"):
+            assert getattr(trace, name).dtype == np.float64, name
+        forced = [rec["unmasked"] for rec in ref_records if not rec["unmasked"][0][2] > tau]
+        assert len(forced) >= 2 and max(trace.unmask_counts) > 1
+        masked, records = n, []
+        for rec in ref_records:
+            masked -= len(rec["unmasked"])
+            records.append(IterationRecord(rec["k"], rec["unmasked"], [], masked))
+        want = RecordTrace(records, np.array(ref_tokens), len(records), False)
+        header = {"run": 0}
+        assert trace_lines(trace, header) == reference_trace_lines(want, header)
+        ref_conf = [c for rec in ref_records for _, _, c in rec["unmasked"]]
+        assert trace.unmask_conf.tobytes() == np.array(ref_conf).tobytes()
+        assert trace.final_tokens.tolist() == ref_tokens
 
     def test_reference_equivalence_on_oracle_denoisers(self):
         # Baseline-equivalence sweep: n <= 8, V <= 5, both oracle modes,

@@ -1,4 +1,5 @@
 import json
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -538,7 +539,8 @@ def test_embedding_interpolation_shortens_decoding():
 
 
 # Hand-built traces at the edges of the trace writer: no iterations, a capped
-# decode, extreme floats, and iterations with several unmasks and remasks.
+# decode, extreme floats, signed zeros, and iterations with several unmasks
+# and remasks.
 EDGE_TRACES = {
     "zero-iterations": RecordTrace([], np.array([3, 1, 0]), 0, False),
     "zero-positions": RecordTrace([], np.array([], dtype=np.int64), 0, False),
@@ -553,6 +555,13 @@ EDGE_TRACES = {
             IterationRecord(3, [(2, 0, 1e-300)], [], 0),
         ],
         np.array([1, 0, 0, 2]), 3, False,
+    ),
+    "signed-zeros": RecordTrace(
+        [
+            IterationRecord(1, [(0, 1, 0.0), (1, 0, -0.0)], [(3, -0.0), (4, 0.0)], 3),
+            IterationRecord(2, [(2, 2, -0.0), (3, 0, 0.0), (4, 1, 0.5)], [(1, 0.0), (2, -0.0)], 2),
+        ],
+        np.array([2, 5, 5, 0, 1]), 2, True,
     ),
     "several-per-iteration": RecordTrace(
         [
@@ -591,6 +600,62 @@ class TestTraceFormat:
         assert tail["nfe"] == result.nfe
         assert tail["capped"] is False
         assert len(tail["final_tokens"]) == 6
+
+
+class TestFloatReprMemo:
+    """trace_lines takes float reprs from a process-wide memo; nothing it holds
+    may change a byte of output."""
+
+    HEADER = {"config": {"decode.tau": 0.9}, "run": 0, "seed": 1}
+
+    @pytest.fixture(autouse=True)
+    def fresh_memo(self, monkeypatch):
+        monkeypatch.setattr(harness, "_REPRS", {})
+
+    def assert_written_like_the_reference(self, trace):
+        assert trace_lines(columnar(trace), self.HEADER) == reference_trace_lines(trace, self.HEADER)
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_signed_zeros_after_a_trace_that_held_a_zero(self, zero):
+        self.assert_written_like_the_reference(
+            RecordTrace([IterationRecord(1, [(0, 0, zero)], [(1, zero)], 1)], np.array([0, 3]), 1, True)
+        )
+        self.assert_written_like_the_reference(EDGE_TRACES["signed-zeros"])
+
+    def test_more_distinct_floats_than_the_bound(self):
+        bound = harness._REPRS_BOUND
+        values = DeterministicRng(3).draws("conf", np.arange(bound + 500), 0).tolist()
+        assert len(set(values)) == len(values) and 0.0 not in values
+
+        def one_per_iteration(confs, rates):
+            return RecordTrace(
+                [IterationRecord(k, [(k, 0, c)], [(k, r)], 0) for k, (c, r) in enumerate(zip(confs, rates), 1)],
+                np.array([0]), len(confs), False,
+            )
+
+        self.assert_written_like_the_reference(one_per_iteration(values[:bound], values[bound - 1 :: -1]))
+        memo = harness._REPRS
+        assert len(memo) == bound
+        assert sys.getsizeof(memo) + sum(sys.getsizeof(x) + sys.getsizeof(s) for x, s in memo.items()) < 2**20
+        self.assert_written_like_the_reference(one_per_iteration(values, values[::-1]))
+        assert 0 < len(harness._REPRS) <= bound
+
+    def test_a_trace_is_the_same_written_fresh_and_after_a_thousand_others(self):
+        cfg = build_config({"n": 12, "num_runs": 1, "warmstart.method": "token-injection",
+                            "decode.remask_enabled": True, "proposer.epsilon": 0.4})
+        _, trace, _ = run_one(cfg, 0)
+        fresh = trace_lines(trace, self.HEADER)
+        rng = DeterministicRng(8)
+        for i in range(1000):
+            # Eight floats each, some of them the trace's own, some zeros of
+            # either sign: 8000 entries, more than the memo holds.
+            values = rng.draws("other", np.arange(8), i)
+            values[:2] = trace.unmask_conf[i % len(trace.unmask_conf)], (-0.0, 0.0)[i % 2]
+            other = RecordTrace([IterationRecord(1, [(p, 0, c) for p, c in enumerate(values[:4].tolist())],
+                                                 list(enumerate(values[4:].tolist())), 0)], np.array([0]), 1, False)
+            trace_lines(columnar(other), self.HEADER)
+        assert trace_lines(trace, self.HEADER) == fresh
+        assert fresh == reference_trace_lines(trace, self.HEADER)
 
 
 class TestInvariantChecking:
