@@ -541,11 +541,14 @@ def csv_lines(records: list[MetricsRecord]) -> list[str]:
     return lines
 
 
-# Float reprs already written, shared by every trace this process writes. A
-# trace holds few distinct floats, so most lookups hit. The memo never holds
-# more than _REPRS_BOUND entries (under 1 MB), and a full memo starts over,
-# so it follows what is being written; neither changes a byte of output.
-# Zeros are never stored: 0.0 and -0.0 are one dict key but repr differently.
+# Float reprs already written, shared by every trace this process writes.
+# Confidences and rates are read from a few per-config values (the oracle's
+# levels and bonuses, the markov pair tables), so they repeat across runs;
+# a hit costs about a third of a repr, a miss about 1.5 reprs, and the memo
+# gains only while most lookups hit. The memo never holds more than
+# _REPRS_BOUND entries (under 1 MB), and a full memo starts over, so it
+# follows what is being written; neither changes a byte of output. Zeros
+# are never stored: 0.0 and -0.0 are one dict key but repr differently.
 _REPRS: dict[float, str] = {}
 _REPRS_BOUND = 2**12
 
@@ -634,16 +637,11 @@ def check_trace_invariants(trace: DecodeTrace, init: DiffusionState) -> list[str
     unmasked_seen: set[int] = set()
     remasked_seen: set[int] = set()
 
-    unmasked = list(zip(trace.unmask_pos.tolist(), trace.unmask_tok.tolist(), trace.unmask_conf.tolist()))
-    remasked = list(zip(trace.remask_pos.tolist(), trace.remask_rate.tolist()))
-    u = r = 0
-    per_iteration = zip(trace.unmask_counts.tolist(), trace.remask_counts.tolist(), trace.masked_after.tolist())
-    for idx, (nu, nr, masked_after) in enumerate(per_iteration, start=1):
-        unmasks, remasks = unmasked[u : u + nu], remasked[r : r + nr]
-        u, r = u + nu, r + nr
-        if not unmasks:
+    for rec in trace.iterations:
+        idx = rec.k
+        if not rec.unmasked:
             problems.append(f"iteration {idx}: no position unmasked")
-        for pos, tok, conf in unmasks:
+        for pos, tok, conf in rec.unmasked:
             if pos not in masked:
                 problems.append(f"iteration {idx}: unmasked position {pos} was not masked")
             if pos in unmasked_seen:
@@ -656,7 +654,7 @@ def check_trace_invariants(trace: DecodeTrace, init: DiffusionState) -> list[str
                 replayed[pos] = tok
             unmasked_seen.add(pos)
             masked.discard(pos)
-        for pos, rate in remasks:
+        for pos, rate in rec.remasked:
             if pos not in injected0:
                 problems.append(f"iteration {idx}: non-injected position {pos} remasked")
             if pos in remasked_seen:
@@ -669,9 +667,9 @@ def check_trace_invariants(trace: DecodeTrace, init: DiffusionState) -> list[str
                 replayed[pos] = init.vocab.mask_id
             remasked_seen.add(pos)
             masked.add(pos)
-        if masked_after != len(masked):
+        if rec.masked_after != len(masked):
             problems.append(
-                f"iteration {idx}: masked_after={masked_after}, bookkeeping says {len(masked)}"
+                f"iteration {idx}: masked_after={rec.masked_after}, bookkeeping says {len(masked)}"
             )
 
     iterations = len(trace.unmask_counts)
