@@ -45,16 +45,16 @@ class BigramModel:
         # and row V (the mask id) of both is the unigram, the distribution
         # given no revealed neighbour.
         uni = self.unigram()
-        self.next_table = np.vstack([*map(self.next_probs, range(num_tokens)), uni])
-        self.prev_table = np.vstack([*map(self.prev_probs, range(num_tokens)), uni])
+        next_table = np.vstack([*map(self.next_probs, range(num_tokens)), uni])
+        prev_table = np.vstack([*map(self.prev_probs, range(num_tokens)), uni])
         # The markov denoiser's mixture weights, applied once: its row is
         # half_next_table[before] + half_prev_table[after].
-        self.half_next_table = 0.5 * self.next_table
-        self.half_prev_table = 0.5 * self.prev_table
+        self.half_next_table = 0.5 * next_table
+        self.half_prev_table = 0.5 * prev_table
         # Row a of `next_table` as a running sum, for inverse-CDF sampling
         # with bisect; cumsum adds left to right, as a per-row cumsum would.
         # array("d") rows bisect as fast as lists in a quarter of the memory.
-        self.next_cdf = [array("d", row) for row in np.cumsum(self.next_table, axis=1)]
+        self.next_cdf = [array("d", row) for row in np.cumsum(next_table, axis=1)]
 
     @cached_property
     def pair_tables(self) -> tuple[np.ndarray, np.ndarray]:
@@ -64,7 +64,8 @@ class BigramModel:
         standing for "no revealed neighbour" on either side. Built on first
         use, then kept with the model, so `fit` and a model that only
         proposes never pay the (V+1)^2 * V operations: about 1 ms at V = 64,
-        25 ms at 256, 4 s at 1024 and 43 s at 2048 on a 2-core VM."""
+        25 ms at 256, 3 s at 1023 and 43 s at 2048 on a 2-core VM. A config
+        bounds them at `harness.MAX_PAIR_TABLE_OPS`, so V <= 1023."""
         return _pair_tables(self.half_next_table, self.half_prev_table)
 
     @classmethod

@@ -140,21 +140,22 @@ class EmbeddingTable:
         return [_cosine(mask_vec, row, norms[-1], nv) for row, nv in zip(self.rows[:-1], norms)]
 
     @cached_property
-    def _blend_memos(self) -> dict:
-        return {}
+    def blend_cosine(self):
+        """(alpha, p, t) -> the `_cosine` of the blend (1 - alpha) * mask +
+        alpha * row p with row t, from the blend's own `_norm` and the row's.
+        One memo per table, made on first lookup, so every run that shares
+        the table shares it; it keeps the last _MEMO_ENTRIES lookups over all
+        alphas, and a miss builds p's blend again. It holds the rows, not the
+        table, so the table is freed with its last reference."""
+        rows, norms = self.rows, self.row_norms
 
-    def blend_cosines(self, alpha: float) -> "_BlendCosines":
-        """The cosines of the blends (1 - alpha) * mask + alpha * row p with row
-        t, keyed by (p, t) and each computed on first lookup; one memo per
-        alpha, kept with the table, so every run that shares the table
-        shares it. The table keeps the memos of its last _MEMO_ALPHAS alphas."""
-        memos = self._blend_memos
-        memo = memos.get(alpha)
-        if memo is None:
-            if len(memos) == _MEMO_ALPHAS:
-                del memos[next(iter(memos))]
-            memo = memos[alpha] = _BlendCosines(alpha, self.rows, self.row_norms)
-        return memo
+        @lru_cache(maxsize=_MEMO_ENTRIES)
+        def blend_cosine(alpha: float, p: int, t: int) -> float:
+            # The mask is the last row.
+            u = (1.0 - alpha) * rows[-1] + alpha * rows[p]
+            return _cosine(u, rows[t], _norm(u), norms[t])
+
+        return blend_cosine
 
     @classmethod
     def random(cls, vocab: Vocabulary, dim: int, rng: "DeterministicRng") -> "EmbeddingTable":
@@ -165,41 +166,9 @@ class EmbeddingTable:
         return cls(rows=2.0 * rng.draws("embed-table", np.arange(vocab.size + 1), np.arange(dim)) - 1.0)
 
 
-# What one table memoizes stays bounded however many runs share it: the
-# memos of at most _MEMO_ALPHAS alphas, each keeping at most _MEMO_PAIRS
-# cosines and _MEMO_FLOATS floats of blends (a few MB). Past a bound a
-# value is computed as below and not kept.
-_MEMO_ALPHAS = 4
-_MEMO_PAIRS = 1 << 13
-_MEMO_FLOATS = 1 << 17
-
-
-class _BlendCosines(dict):
-    """(p, t) -> `_cosine` of the blend of real token p with table row t,
-    from the blend's own `_norm` and the row's. A miss builds p's blend (kept
-    in `blends` beside its norm) if no lookup has yet, then the cosine; the
-    entries are only ever the pairs looked up, up to the bounds above."""
-
-    def __init__(self, alpha: float, rows: np.ndarray, norms: list[float]):
-        super().__init__()
-        self.alpha, self.rows, self.norms = alpha, rows, norms
-        self.blends: dict[int, tuple[np.ndarray, float]] = {}
-        self.max_blends = min(_MEMO_PAIRS, _MEMO_FLOATS // rows.shape[1])
-
-    def __missing__(self, key: tuple[int, int]) -> float:
-        p, t = key
-        blend = self.blends.get(p)
-        if blend is None:
-            # The mask is the last row.
-            u = (1.0 - self.alpha) * self.rows[-1] + self.alpha * self.rows[p]
-            blend = (u, _norm(u))
-            if len(self.blends) < self.max_blends:
-                self.blends[p] = blend
-        u, nu = blend
-        cosine = _cosine(u, self.rows[t], nu, self.norms[t])
-        if len(self) < _MEMO_PAIRS:
-            self[key] = cosine
-        return cosine
+# What one table's `blend_cosine` memoizes stays bounded however many runs
+# share it (about 210 bytes an entry, so about 7 MB when full).
+_MEMO_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True, eq=False)

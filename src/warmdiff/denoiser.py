@@ -22,7 +22,7 @@ on the denoiser's first call (`BigramModel.pair_tables`), and a call gathers
 two entries per row. The oracle's is a
 `DenoiseContext`, precomputing what stays constant over the run: the
 embedding bonus per position, from the cosines that the override's table
-memoizes per alpha (`EmbeddingTable.blend_cosines`), and with it the
+memoizes by (alpha, p, t) (`EmbeddingTable.blend_cosine`), and with it the
 oracle's whole output at masked rows, tabulated by (revealed count,
 position) from the same float operations a call would run, so a call
 gathers two entries per row instead of recomputing them. The tables
@@ -169,14 +169,14 @@ def prepare(target, params, init: DiffusionState):
         # kept position with target t, 0.0 at a dropped one and everywhere
         # at alpha 0, where every blend is the mask vector (even when the
         # table's norms overflow and the cosines are NaN). The cosines are
-        # the scalar ones the table memoizes per alpha: a vectorized norm or
-        # dot sums in another order, and an ulp at tau moves NFE.
+        # the scalar ones the table memoizes: a vectorized norm or dot sums
+        # in another order, and an ulp at tau moves NFE.
         bonus = np.zeros(len(target))
         if override.alpha > 0.0:
-            cosines, mask_cos = override.table.blend_cosines(override.alpha), override.table.mask_cosines
+            alpha, cosine, mask_cos = override.alpha, override.table.blend_cosine, override.table.mask_cosines
             for i, (p, t) in enumerate(zip(override.ids.tolist(), target.tolist())):
                 if p >= 0:
-                    bonus[i] = params.eta * (cosines[p, t] - mask_cos[t])
+                    bonus[i] = params.eta * (cosine(alpha, p, t) - mask_cos[t])
     n = len(target)
     levels = _levels(params.c0, params.gamma, params.c_max, n)
     tables = {}

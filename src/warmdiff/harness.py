@@ -63,10 +63,12 @@ class InvariantViolation(RuntimeError):
 # which a denoiser's answer stands for without building them; and, where a
 # bigram model is fit, in each of its (vocab_size + 1) x (vocab_size + 1)
 # tables. Far above any study this engine is for, far below what exhausts
-# memory. The markov denoiser's pair tables take (vocab_size + 1)^2 *
-# vocab_size operations to build, once per model: about 4 s at vocab_size =
-# 1024 on a 2-core VM.
+# memory.
 MAX_ENTRIES = 2**24
+# Most operations the markov denoiser's pair tables may take to build, once
+# per model on its first call: (vocab_size + 1)^2 * vocab_size, so
+# vocab_size <= 1023, about 3 s on a 2-core VM (0.3 s at 512, 43 s at 2048).
+MAX_PAIR_TABLE_OPS = 2**30
 
 # ---------------------------------------------------------------------------
 # Configuration schema
@@ -321,6 +323,10 @@ def build_resources(cfg: ExperimentConfig) -> RunResources:
             raise ConfigError("this configuration needs corpus.path to be set")
         if (cfg.vocab_size + 1) ** 2 > MAX_ENTRIES:
             raise ConfigError(f"a bigram model needs (vocab_size + 1)**2 <= {MAX_ENTRIES} table entries")
+        if cfg.denoiser_kind == "markov" and (cfg.vocab_size + 1) ** 2 * cfg.vocab_size > MAX_PAIR_TABLE_OPS:
+            raise ConfigError(
+                f"the markov denoiser needs (vocab_size + 1)**2 * vocab_size <= {MAX_PAIR_TABLE_OPS} operations"
+            )
         try:
             corpus = load_corpus(cfg.corpus_path)
             bigram = BigramModel.fit(corpus, cfg.vocab_size)  # range-checks every token

@@ -10,8 +10,7 @@ both required, it must give what the library denoiser gives, bit for bit
 (`tests/test_denoiser_equivalence.py`), and the per-position loops there
 tie these rows in turn to the model definitions. `override_vectors`
 builds an embedding override's n x d input vectors from its ids, alpha and
-table, the form the override took before it was recorded by its ids;
-`memo_vectors` reads the same vectors from the table's per-alpha memo.
+table, the form the override took before it was recorded by its ids.
 """
 
 import numpy as np
@@ -29,20 +28,6 @@ def override_vectors(override):
     out = np.tile(mask_vec, (len(ids), 1))
     kept = ids >= 0
     out[kept] = (1.0 - alpha) * mask_vec + alpha * table.rows[ids[kept]]
-    return out
-
-
-def memo_vectors(override):
-    """The blends the engine computed for an `EmbeddingOverride`, one per
-    position, as its table's per-alpha memo holds them (a lookup fills an
-    id's entry first), and the mask vector where the id is -1."""
-    table = override.table
-    memo = table.blend_cosines(override.alpha)
-    out = np.tile(table.mask_vector(), (len(override.ids), 1))
-    for i, p in enumerate(override.ids.tolist()):
-        if p >= 0:
-            memo[p, 0]
-            out[i] = memo.blends[p][0]
     return out
 
 

