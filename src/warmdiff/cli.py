@@ -9,10 +9,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager, nullcontext
 
 from .harness import (
     ConfigError,
     InvariantViolation,
+    build_resources,
     config_to_dict,
     csv_lines,
     load_config,
@@ -28,27 +30,36 @@ class _OutputError(Exception):
     """An output file could not be written."""
 
 
-def _write_lines(path: str | None, lines: list[str]):
-    text = "\n".join(lines) + "\n"
+@contextmanager
+def _output(path: str | None):
+    """Standard output, or `path` open for writing; an OSError from opening
+    the file or raised while it is open is an _OutputError."""
     if path is None:
-        sys.stdout.write(text)
+        yield sys.stdout
         return
     try:
         with open(path, "w", encoding="utf-8", newline="") as f:
-            f.write(text)
+            yield f
     except OSError as exc:
         raise _OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
+def _write_lines(path: str | None, lines: list[str]):
+    with _output(path) as f:
+        f.write("\n".join(lines) + "\n")
+
+
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
-    record, traces = run_experiment(cfg, collect_traces=bool(args.trace))
-    if args.trace:
-        lines = []
-        for result, trace in zip(record.runs, traces):
-            header = {"config": config_to_dict(cfg), "run": result.run, "seed": result.seed}
-            lines.extend(trace_lines(trace, header))
-        _write_lines(args.trace, lines)
+    resources = build_resources(cfg)  # config errors come before any file is opened
+    config = config_to_dict(cfg)
+    with _output(args.trace) if args.trace else nullcontext() as f:
+
+        def write_trace(result, trace, _init):
+            header = {"config": config, "run": result.run, "seed": result.seed}
+            f.write("\n".join(trace_lines(trace, header)) + "\n")
+
+        record = run_experiment(cfg, resources=resources, on_run=write_trace if args.trace else None)
     summary = [
         f"runs = {cfg.num_runs}",
         f"mean_nfe = {record.mean_nfe}",

@@ -237,8 +237,9 @@ class DeterministicRng:
 
     Each draw is a pure function of (seed, purpose, position, iteration), so
     enabling or disabling one consumer can never shift the values any other
-    consumer sees, and runs replay bit-identically across processes and
-    platforms. Distinct purpose labels give independent streams.
+    consumer sees, and draws are the same on every platform (the embedding
+    bonus's cosines, from BLAS `dot`, can move by an ulp across CPUs).
+    Distinct purpose labels give independent streams.
 
     The value at an address is the SplitMix64 finalizer of
     `position·GAMMA + base` (mod 2^64), scaled by its top 53 bits to [0, 1);

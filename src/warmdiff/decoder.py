@@ -17,9 +17,9 @@ unmask or remask, and each column is built once at the end as an int64 or
 float64 array, whatever dtypes the denoiser returned. Most iterations unmask
 a single position; that step reads its position, token and confidence as
 Python scalars and stores them without fancy indexing. The record view
-`DecodeTrace.iterations` and the row reducer `confidences`, which nothing
-here calls, stay public only because the benchmark (`bench/measure.py`)
-counts from the one and wraps the other by name.
+`DecodeTrace.iterations` serves `harness.check_trace_invariants` and the
+benchmark (`bench/measure.py`); the row reducer `confidences`, which nothing
+here calls, stays public only because the benchmark wraps it by name.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ class DecodeTrace:
     @property
     def iterations(self) -> list[IterationRecord]:
         """The columns rebuilt as one record per iteration: a read-only view
-        that `bench/measure.py` counts from, outside its timed region."""
+        that `check_trace_invariants` walks and `bench/measure.py` counts from."""
         unmasked = list(zip(self.unmask_pos.tolist(), self.unmask_tok.tolist(), self.unmask_conf.tolist()))
         remasked = list(zip(self.remask_pos.tolist(), self.remask_rate.tolist()))
         records, u, r = [], 0, 0

@@ -12,6 +12,7 @@ import itertools
 import json
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
 
@@ -416,10 +417,6 @@ _sweep_values = attrgetter(*(SCHEMA[key][2] for key in SWEEP_ORDER))
 _SWEEP_FIELDS = [SCHEMA[key][2].rpartition(".")[2] for key in SWEEP_ORDER]
 
 
-def _record_for(cfg: ExperimentConfig, grid_id: int) -> MetricsRecord:
-    return MetricsRecord(grid_id=grid_id, **dict(zip(_SWEEP_FIELDS, _sweep_values(cfg))))
-
-
 # ---------------------------------------------------------------------------
 # Running
 
@@ -465,21 +462,21 @@ def run_one(
 def run_experiment(
     cfg: ExperimentConfig,
     grid_id: int = 0,
-    collect_traces: bool = False,
     resources: RunResources | None = None,
-) -> tuple[MetricsRecord, list[DecodeTrace]]:
+    on_run: Callable[[RunResult, DecodeTrace, DiffusionState], None] | None = None,
+) -> MetricsRecord:
     """All runs for one grid point, in run-index order; `resources` defaults
-    to a fresh build_resources(cfg)."""
+    to a fresh build_resources(cfg). Each run's result, trace and initial
+    state go to `on_run` as soon as the run is made; no trace is kept."""
     if resources is None:
         resources = build_resources(cfg)
-    record = _record_for(cfg, grid_id)
-    traces = []
+    record = MetricsRecord(grid_id=grid_id, **dict(zip(_SWEEP_FIELDS, _sweep_values(cfg))))
     for r in range(cfg.num_runs):
-        result, trace, _ = run_one(cfg, r, resources)
+        result, trace, init = run_one(cfg, r, resources)
         record.runs.append(result)
-        if collect_traces:
-            traces.append(trace)
-    return record, traces
+        if on_run is not None:
+            on_run(result, trace, init)
+    return record
 
 
 def expand_grid(overrides: dict) -> list[dict]:
@@ -489,34 +486,20 @@ def expand_grid(overrides: dict) -> list[dict]:
     grid ids are stable for a given grid file.
     """
     base = {k: v for k, v in overrides.items() if not isinstance(v, list)}
-    dims = []
-    for key in SWEEP_ORDER:
-        value = overrides.get(key)
-        if isinstance(value, list):
-            dims.append((key, value))
-    points = []
-    for combo in itertools.product(*(values for _, values in dims)):
-        point = dict(base)
-        for (key, _), value in zip(dims, combo):
-            point[key] = value
-        points.append(point)
-    return points
+    dims = [key for key in SWEEP_ORDER if isinstance(overrides.get(key), list)]
+    return [{**base, **dict(zip(dims, combo))} for combo in itertools.product(*(overrides[key] for key in dims))]
 
 
 def sweep(overrides: dict) -> list[MetricsRecord]:
-    """One MetricsRecord per grid point, grid ids following expansion order."""
-    records = []
-    # Of what build_resources reads, only whether the warm-start method is
-    # "none" can differ between the points of one grid.
-    resources: dict[bool, RunResources] = {}
-    for grid_id, point in enumerate(expand_grid(overrides)):
-        cfg = build_config(point)
-        cold = cfg.warmstart.method == "none"
-        if cold not in resources:
-            resources[cold] = build_resources(cfg)
-        record, _ = run_experiment(cfg, grid_id=grid_id, resources=resources[cold])
-        records.append(record)
-    return records
+    """One MetricsRecord per grid point, grid ids following expansion order.
+    Every point's config is checked before any run. Of what build_resources
+    reads, only whether the warm-start method is "none" can differ between
+    points, and a warm point needs all that a cold one does: the first warm
+    point, else the first point, builds the resources all points share."""
+    configs = [build_config(point) for point in expand_grid(overrides)]
+    shared = min(configs, key=lambda cfg: cfg.warmstart.method == "none", default=None)
+    resources = build_resources(shared) if shared is not None else None
+    return [run_experiment(cfg, grid_id, resources) for grid_id, cfg in enumerate(configs)]
 
 
 # ---------------------------------------------------------------------------
@@ -698,18 +681,15 @@ def check_trace_invariants(trace: DecodeTrace, init: DiffusionState) -> list[str
 
 def validate_runs(cfg: ExperimentConfig) -> list[str]:
     """Run every configured run and collect invariant violations."""
-    resources = build_resources(cfg)
     problems = []
-    records = []
-    for r in range(cfg.num_runs):
-        result, trace, init = run_one(cfg, r, resources)
-        records.append(result)
-        for problem in check_trace_invariants(trace, init):
-            problems.append(f"run {r}: {problem}")
+
+    def check(result: RunResult, trace: DecodeTrace, init: DiffusionState) -> None:
+        problems.extend(f"run {result.run}: {problem}" for problem in check_trace_invariants(trace, init))
         if not math.isfinite(result.token_acc) or not 0.0 <= result.token_acc <= 1.0:
-            problems.append(f"run {r}: token accuracy {result.token_acc} outside [0, 1]")
-    rate = float(np.mean([r.exact_match for r in records]))
-    acc = float(np.mean([r.token_acc for r in records]))
+            problems.append(f"run {result.run}: token accuracy {result.token_acc} outside [0, 1]")
+
+    record = run_experiment(cfg, on_run=check)
+    rate, acc = record.exact_match_rate, record.mean_token_acc
     if rate > acc + 1e-12:
         problems.append(f"exact-match rate {rate} exceeds mean token accuracy {acc}")
     return problems

@@ -59,7 +59,7 @@ def _report(name: str, ok: bool, detail: str):
 
 
 def _runs(overrides):
-    record, _ = run_experiment(build_config(overrides))
+    record = run_experiment(build_config(overrides))
     nfe = np.array([r.nfe for r in record.runs], dtype=float)
     acc = np.array([r.token_acc for r in record.runs], dtype=float)
     return nfe, acc

@@ -43,6 +43,36 @@ def test_closed_stdout_exits_one_without_a_traceback(tmp_path, command):
     assert proc.stderr.splitlines() == ["error: standard output was closed"]
 
 
+def test_run_trace_memory_is_flat_in_the_number_of_runs(tmp_path):
+    """`run --trace` writes each run's trace as the run finishes and keeps
+    none, so a child's peak RSS barely grows from 200 to 1,000 runs of a
+    remasking n = 64 config. Measured on a 2-core VM: 0.3 MB of growth
+    (34.6 -> 34.9 MB), against 23.6 MB (39.0 -> 62.7 MB) when every trace
+    was held until the last run ended."""
+    # Linux carries a process's peak RSS across fork and exec, so the run is
+    # started from a small interpreter, which reports its child's peak.
+    report = (
+        "import resource, subprocess, sys\n"
+        "subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL, check=True)\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+
+    def peak_mb(runs):
+        cfg = write(tmp_path / f"cfg-{runs}.txt", (
+            f"n = 64\nvocab_size = 64\nnum_runs = {runs}\nseed = 3\n"
+            'warmstart.method = "token-injection"\nwarmstart.rho = 0.9\nproposer.epsilon = 0.1\n'
+            "decode.remask_enabled = true\ndecode.b0 = 0.01\ndecode.lambda = 0.002\n"
+        ))
+        command = [sys.executable, "-m", "warmdiff", "run", "--config", cfg, "--trace", str(tmp_path / "t.jsonl")]
+        proc = subprocess.run(
+            [sys.executable, "-c", report, *command], capture_output=True, text=True, timeout=60, env=package_env()
+        )
+        assert proc.returncode == 0, proc.stderr
+        return int(proc.stdout) / 1024  # ru_maxrss is in KiB on Linux
+
+    assert peak_mb(1000) - peak_mb(200) < 8
+
+
 class TestRun:
     def test_prints_summary_and_exits_zero(self, tmp_path, capsys):
         cfg = write(tmp_path / "cfg.txt", BASIC)
@@ -52,7 +82,7 @@ class TestRun:
         assert "mean_nfe = 1.0" in out
         assert "exact_match_rate = 1.0" in out
 
-    def test_writes_csv_and_trace(self, tmp_path, capsys):
+    def test_writes_csv_and_trace(self, tmp_path, capsys, monkeypatch):
         cfg = write(tmp_path / "cfg.txt", BASIC)
         csv_path = tmp_path / "rows.csv"
         trace_path = tmp_path / "trace.jsonl"
@@ -68,6 +98,29 @@ class TestRun:
         assert head["run"] == 0
         assert head["config"]["n"] == 8
         capsys.readouterr()
+        # Each run's trace lines are written as the run finishes, and the
+        # file holds those of run_one's traces, joined in run order.
+        run_one, write_lines = harness.run_one, cli.trace_lines
+        events = []
+        monkeypatch.setattr(harness, "run_one", lambda *args: events.append(("run", args[1])) or run_one(*args))
+        monkeypatch.setattr(cli, "trace_lines", lambda t, head: events.append(("write", head["run"])) or write_lines(t, head))
+        for text in (
+            'n = 12\nnum_runs = 5\nseed = 4\nwarmstart.method = "token-injection"\nwarmstart.rho = 0.75\n'
+            "proposer.epsilon = 0.5\ndecode.remask_enabled = true\n",
+            'n = 12\nnum_runs = 5\nseed = 4\nwarmstart.method = "embedding-interpolation"\nwarmstart.rho = 0.5\n'
+            "denoiser.eta = 0.5\n",
+        ):
+            events.clear()
+            assert cli.main(["run", "--config", write(tmp_path / "cfg.txt", text), "--trace", str(trace_path)]) == 0
+            capsys.readouterr()
+            assert events == [event for r in range(5) for event in (("run", r), ("write", r))]
+            config = harness.load_config(str(tmp_path / "cfg.txt"))
+            lines = []
+            for r in range(config.num_runs):
+                result, decoded, _ = run_one(config, r)
+                header = {"config": harness.config_to_dict(config), "run": r, "seed": result.seed}
+                lines += write_lines(decoded, header)
+            assert trace_path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
     def test_unknown_key_exits_one(self, tmp_path, capsys):
         cfg = write(tmp_path / "cfg.txt", "nn = 8\n")
@@ -85,13 +138,19 @@ class TestRun:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"config error: cannot read config file {cfg}")
 
-    @pytest.mark.parametrize("flag", ["--csv", "--trace"])
-    def test_unwritable_output_exits_one(self, tmp_path, capsys, flag):
+    @pytest.mark.parametrize("flag, runs", [("--csv", 3), ("--trace", 0)], ids=["--csv", "--trace"])
+    def test_unwritable_output_exits_one(self, tmp_path, capsys, monkeypatch, flag, runs):
+        """The CSV is written after the runs; the trace file is opened
+        before them, so a trace path that cannot be written costs no run."""
+        calls = []
+        run_one = harness.run_one
+        monkeypatch.setattr(harness, "run_one", lambda *args: calls.append(args) or run_one(*args))
         cfg = write(tmp_path / "cfg.txt", BASIC)
         target = tmp_path / "missing-dir" / "out.txt"
         assert cli.main(["run", "--config", cfg, flag, str(target)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: cannot write {target}: No such file or directory"]
+        assert len(calls) == runs
 
     def test_non_finite_eta_exits_one(self, tmp_path, capsys):
         cfg = write(
@@ -174,9 +233,11 @@ class TestRun:
         assert cli.main(["run", "--config", write(tmp_path / "v4.txt", markov)]) == 0
         capsys.readouterr()
         unread = base + f'denoiser.kind = "markov"\ncorpus.path = "{tmp_path / "absent.txt"}"\nvocab_size = 5\n'
-        assert cli.main(["run", "--config", write(tmp_path / "v5.txt", unread)]) == 1
+        trace = tmp_path / "trace.jsonl"
+        assert cli.main(["run", "--config", write(tmp_path / "v5.txt", unread), "--trace", str(trace)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert err == ["config error: the markov denoiser needs (vocab_size + 1)**2 * vocab_size <= 100 operations"]
+        assert not trace.exists()
         for other in ('target_source = "corpus"', 'proposer.kind = "markov"\nwarmstart.method = "token-injection"'):
             text = base + f'corpus.path = "{corpus}"\nvocab_size = 5\n{other}\n'
             assert cli.main(["run", "--config", write(tmp_path / "other.txt", text)]) == 0

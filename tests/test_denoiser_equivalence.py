@@ -675,7 +675,7 @@ def test_pair_tables_wait_for_the_markov_denoisers_first_call(tmp_path):
         markov = markov_config(tmp_path, **{"denoiser.kind": "markov"})
         resources = build_resources(markov)
         assert not pair_tables_built(resources.bigram)
-        record, _ = run_experiment(markov, resources=resources)
+        record = run_experiment(markov, resources=resources)
     assert sum(r.nfe for r in record.runs) > 1 and pair_tables_built(resources.bigram) and build.call_count == 1
 
 

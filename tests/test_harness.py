@@ -233,7 +233,7 @@ class TestRunOne:
 
     def test_base_seeds_share_no_run_seed(self):
         """Under `seed XOR run`, seeds 0..7 replayed the same 200 runs."""
-        seeds = {r.seed for s in range(8) for r in run_experiment(build_config({"n": 1, "num_runs": 200, "seed": s}))[0].runs}
+        seeds = {r.seed for s in range(8) for r in run_experiment(build_config({"n": 1, "num_runs": 200, "seed": s})).runs}
         assert len(seeds) == 8 * 200
 
     def test_recorded_seed_replays_the_runs_draws(self, monkeypatch):
@@ -304,7 +304,7 @@ class TestRunOne:
         })
         resources = build_resources(cfg)
         assert resources.target_seqs == []
-        record, _ = run_experiment(cfg, resources=resources)
+        record = run_experiment(cfg, resources=resources)
         assert len(record.runs) == 2
         assert all(r.nfe >= 1 for r in record.runs)
 
@@ -344,7 +344,7 @@ class TestRunOne:
             "denoiser.kind": "markov", "proposer.kind": "markov",
             "warmstart.method": "token-injection", "decode.tau": 0.6, "num_runs": 3,
         })
-        record, _ = run_experiment(cfg)
+        record = run_experiment(cfg)
         assert len(record.runs) == 3
         assert all(r.nfe >= 1 for r in record.runs)
 
@@ -404,11 +404,11 @@ class TestSweep:
         for rec in sweep(self.grid()):
             assert rec.mean_nfe <= 8
 
-    @pytest.mark.parametrize("methods, builds", [("token-injection", 1), (["none", "token-injection"], 2)])
-    def test_resources_built_once_per_distinct_input(self, tmp_path, monkeypatch, methods, builds):
+    @pytest.mark.parametrize("methods", ["token-injection", ["none", "token-injection"]])
+    def test_resources_built_once_per_grid(self, tmp_path, monkeypatch, methods):
         """A markov proposer reads the corpus only for a warm start, so a grid
-        mixing "none" in needs a second build; the CSV is that of building
-        per point."""
+        mixing "none" in builds once, on a warm point; the CSV is that of
+        building per point."""
         path = tmp_path / "c.txt"
         path.write_text("0 1 2 3 0 1 2 3 0 1 2 3\n2 3 0 1 2 3 0 1\n", encoding="utf-8")
         grid = {
@@ -416,12 +416,22 @@ class TestSweep:
             "proposer.kind": "markov", "warmstart.method": methods,
             "warmstart.rho": [0.25, 0.75], "decode.tau": [0.5, 0.9],
         }
-        per_point = [run_experiment(build_config(p), grid_id=g)[0] for g, p in enumerate(expand_grid(grid))]
+        per_point = [run_experiment(build_config(p), grid_id=g) for g, p in enumerate(expand_grid(grid))]
         built = []
         monkeypatch.setattr(harness, "build_resources", lambda cfg: built.append(cfg) or build_resources(cfg))
         assert csv_lines(sweep(grid)) == csv_lines(per_point)
-        assert len(built) == builds
+        assert [cfg.warmstart.method for cfg in built] == ["token-injection"]
 
+    def test_config_error_of_a_warm_point_comes_before_any_run(self, monkeypatch):
+        """A markov proposer without a corpus fails at the grid's warm points;
+        the cold points ahead of them in the grid do not run first."""
+        calls = []
+        monkeypatch.setattr(harness, "run_one", lambda *args: calls.append(args) or run_one(*args))
+        grid = {"n": 6, "vocab_size": 4, "num_runs": 2, "proposer.kind": "markov",
+                "warmstart.method": ["none", "token-injection"]}
+        with pytest.raises(ConfigError, match="needs corpus.path"):
+            sweep(grid)
+        assert calls == []
 
     def test_alpha_sweep_matches_separate_runs(self, monkeypatch):
         """A sweep over more alphas than the table once kept memos for builds
@@ -432,7 +442,7 @@ class TestSweep:
             "warmstart.method": "embedding-interpolation", "warmstart.rho": 0.5,
             "warmstart.alpha": [0.2, 0.3, 0.6, 0.8, 1.0], "denoiser.eta": 0.5,
         }
-        separate = [run_experiment(build_config(point))[0] for point in expand_grid(grid)]
+        separate = [run_experiment(build_config(point)) for point in expand_grid(grid)]
         built = []
         monkeypatch.setattr(harness, "build_resources", lambda cfg: built.append(build_resources(cfg)) or built[-1])
         swept = sweep(grid)
@@ -468,7 +478,7 @@ class TestSweep:
             "decode.remask_enabled": True, "warmstart.method": "token-injection", "warmstart.rho": 0.25,
             "decode.tau": [0.5, 0.9],
         }
-        separate = [run_experiment(build_config(point))[0] for point in expand_grid(grid)]
+        separate = [run_experiment(build_config(point)) for point in expand_grid(grid)]
         built = []
         monkeypatch.setattr(harness, "build_resources", lambda cfg: built.append(build_resources(cfg)) or built[-1])
         swept = sweep(grid)
@@ -492,10 +502,10 @@ class TestSweep:
         })
         built = []
         monkeypatch.setattr(harness, "build_resources", lambda cfg: built.append(build_resources(cfg)) or built[-1])
-        kept_all = run_experiment(cfg)[0]
+        kept_all = run_experiment(cfg)
         assert built[0].table.blend_cosine.cache_info().currsize > 100
         monkeypatch.setattr(core, "_MEMO_ENTRIES", 100)
-        bounded = run_experiment(cfg)[0]
+        bounded = run_experiment(cfg)
         assert built[1].table.blend_cosine.cache_info().currsize == 100
         assert csv_lines([bounded]) == csv_lines([kept_all])
 
@@ -504,19 +514,19 @@ class TestAggregates:
     def test_std_uses_sample_denominator(self):
         cfg = build_config({"n": 8, "num_runs": 5, "warmstart.method": "token-injection",
                             "denoiser.c0": 1.0, "denoiser.c_max": 1.0})
-        record, _ = run_experiment(cfg)
+        record = run_experiment(cfg)
         nfes = [r.nfe for r in record.runs]
         assert abs(record.std_nfe - np.std(nfes, ddof=1)) < 1e-12
 
     def test_single_run_std_is_zero(self):
         cfg = build_config({"n": 4, "num_runs": 1})
-        record, _ = run_experiment(cfg)
+        record = run_experiment(cfg)
         assert record.std_nfe == 0.0
 
     def test_aggregates_ignore_row_order(self):
         cfg = build_config({"n": 8, "num_runs": 6, "warmstart.method": "token-injection",
                             "proposer.epsilon": 0.4})
-        record, _ = run_experiment(cfg)
+        record = run_experiment(cfg)
         before = (record.mean_nfe, record.std_nfe, record.exact_match_rate, record.mean_token_acc)
         record.runs.reverse()
         assert (record.mean_nfe, record.std_nfe, record.exact_match_rate,
@@ -527,8 +537,8 @@ def test_embedding_interpolation_shortens_decoding():
     base = {"n": 16, "vocab_size": 16, "embed_dim": 8, "num_runs": 10, "seed": 31,
             "denoiser.c0": 0.4, "denoiser.gamma": 0.6, "denoiser.c_max": 0.99,
             "decode.tau": 0.9}
-    cold, _ = run_experiment(build_config(base))
-    warm, _ = run_experiment(build_config({
+    cold = run_experiment(build_config(base))
+    warm = run_experiment(build_config({
         **base, "warmstart.method": "embedding-interpolation",
         "warmstart.alpha": 1.0, "warmstart.rho": 1.0,
         "denoiser.eta": 0.8, "proposer.epsilon": 0.0,
@@ -662,6 +672,11 @@ class TestInvariantChecking:
         cfg = build_config({"n": 12, "warmstart.method": "token-injection",
                             "decode.remask_enabled": True, "proposer.epsilon": 0.3, "num_runs": 4})
         assert validate_runs(cfg) == []
+
+    def test_problems_name_their_run(self, monkeypatch):
+        answers = iter([[], ["fabricated problem"], []])
+        monkeypatch.setattr(harness, "check_trace_invariants", lambda trace, init: next(answers))
+        assert validate_runs(build_config({"n": 6, "num_runs": 3})) == ["run 1: fabricated problem"]
 
     def test_tampered_trace_is_caught(self):
         cfg = build_config({"n": 6, "num_runs": 1})

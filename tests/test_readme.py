@@ -116,8 +116,8 @@ def test_quick_start_text_gives_the_printed_numbers():
     for experiment.txt, and for the same config without a warm start."""
     text = " ".join(section("Quick start").split())
     overrides = parse_config_text(quick_start_file("experiment.txt"))
-    warm, _ = run_experiment(build_config(overrides))
-    cold, _ = run_experiment(build_config({**overrides, "warmstart.method": "none"}))
+    warm = run_experiment(build_config(overrides))
+    cold = run_experiment(build_config({**overrides, "warmstart.method": "none"}))
     assert f"prints `mean_nfe = {warm.mean_nfe}` and `exact_match_rate = {warm.exact_match_rate}`" in text
     assert f"take `mean_nfe = {cold.mean_nfe}` and all of them match" in text
     assert cold.exact_match_rate == 1.0 and warm.mean_nfe < cold.mean_nfe
