@@ -44,22 +44,30 @@ def _output(path: str | None):
         raise _OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _write_lines(path: str | None, lines: list[str]):
-    with _output(path) as f:
-        f.write("\n".join(lines) + "\n")
+def _warn_capped(records) -> None:
+    """One stderr line if any run stopped at the cap; a capped run's NFE is decode.k_max."""
+    runs = [r for record in records for r in record.runs]
+    capped = [r.nfe for r in runs if r.capped]
+    if capped:
+        message = f"{len(capped)} of {len(runs)} runs stopped at decode.k_max = {capped[0]} with positions still masked"
+        print(f"warning: {message}", file=sys.stderr)
 
 
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
     resources = build_resources(cfg)  # config errors come before any file is opened
     config = config_to_dict(cfg)
-    with _output(args.trace) if args.trace else nullcontext() as f:
+    # Both files open before the first run; the inner trace file names its own path on a write error.
+    with _output(args.csv) if args.csv else nullcontext() as csv_file:
+        with _output(args.trace) if args.trace else nullcontext() as trace_file:
 
-        def write_trace(result, trace, _init):
-            header = {"config": config, "run": result.run, "seed": result.seed}
-            f.write("\n".join(trace_lines(trace, header)) + "\n")
+            def write_trace(result, trace, _init):
+                header = {"config": config, "run": result.run, "seed": result.seed}
+                trace_file.write("\n".join(trace_lines(trace, header)) + "\n")
 
-        record = run_experiment(cfg, resources=resources, on_run=write_trace if args.trace else None)
+            record = run_experiment(cfg, resources=resources, on_run=write_trace if args.trace else None)
+        if args.csv:
+            csv_file.write("\n".join(csv_lines([record])) + "\n")
     summary = [
         f"runs = {cfg.num_runs}",
         f"mean_nfe = {record.mean_nfe}",
@@ -69,15 +77,16 @@ def _cmd_run(args) -> int:
         f"capped_runs = {record.capped_runs}",
     ]
     print("\n".join(summary))
-    if args.csv:
-        _write_lines(args.csv, csv_lines([record]))
+    _warn_capped([record])
     return 0
 
 
 def _cmd_sweep(args) -> int:
     overrides = load_grid(args.grid)
     records = sweep(overrides)
-    _write_lines(args.out, csv_lines(records))
+    with _output(args.out) as f:
+        f.write("\n".join(csv_lines(records)) + "\n")
+    _warn_capped(records)
     return 0
 
 

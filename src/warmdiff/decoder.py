@@ -24,7 +24,6 @@ here calls, stays public only because the benchmark wraps it by name.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,20 +176,13 @@ def decode(
     enabled) remask still-injected positions at rates from the probability
     of the token each holds, from the same call. A non-finite confidence or
     held probability raises ValueError. Stops when nothing is masked; if the
-    k_max cap is hit first, the trace is flagged "capped" instead of raising.
+    k_max cap is hit first, the trace is flagged "capped"; it never raises or warns.
 
     The embedding override is visible to the denoiser on every iteration
     under "while-masked" persistence, and only on the first under
     "first-iteration". `init` is left unchanged.
     """
     state = init.copy()
-    n = len(state.tokens)
-    recommended = n + len(state.injected)
-    if dcfg.k_max < recommended:
-        warnings.warn(
-            f"k_max={dcfg.k_max} is below n + |injected| = {recommended}; decode may hit the cap",
-            stacklevel=2,
-        )
 
     # The trace columns, one entry per unmask or remask, as Python lists.
     unmask_counts, unmask_pos, unmask_tok, unmask_conf = [], [], [], []

@@ -10,10 +10,10 @@ argmax (the lowest token id on ties); `conf`, the row's probability at
 `best`; and `held`, for each position p in `held_rows`, the row's
 probability of the token p holds, which remasking reads. Every entry is bit
 for bit what the full row gives. Quantities that depend on the whole
-sequence (the revealed count, credulous flips) are computed over all n
-positions first, nearest revealed neighbours by binary search over the
-revealed positions. Nothing checks that `rows` are masked: `decode` passes
-them so, and a check would cost a gather per call.
+sequence (the revealed count; credulous flips, from one integer prefix sum)
+are computed over all n positions first, nearest revealed neighbours by
+binary search over the revealed positions. Nothing checks that `rows` are
+masked: `decode` passes them so, and a check would cost a gather per call.
 `prepare` picks the denoiser from the type of its params, checks a run's
 inputs once and builds the context. The markov denoiser's context is its
 `BigramModel`: a masked row depends only on its nearest revealed
@@ -136,17 +136,6 @@ def _levels(c0: float, gamma: float, c_max: float, n: int) -> np.ndarray:
     return levels
 
 
-def _window_sums(values: np.ndarray, window: int) -> np.ndarray:
-    """Sum of `values` over the width-`window` neighborhood centered at each
-    position, truncated at the sequence edges."""
-    n = len(values)
-    half = (window - 1) // 2
-    cum = np.concatenate([[0.0], np.cumsum(values)])
-    lo = np.maximum(np.arange(n) - half, 0)
-    hi = np.minimum(np.arange(n) + half + 1, n)
-    return cum[hi] - cum[lo]
-
-
 def prepare(target, params, init: DiffusionState):
     """The denoiser that `params` picks and its context for a run that starts
     from `init`, after every check the denoiser relies on: a `BigramModel`
@@ -217,8 +206,9 @@ def noisy_oracle_logits(state: DiffusionState, ctx: DenoiseContext, rows, held_r
     Per-position confidence is hi = min(c_max, c0 + gamma * r / n) where r
     counts the correctly revealed positions (faithful mode) or the revealed
     positions regardless of correctness (credulous mode), read from the
-    context's exact `levels` table. When an embedding override is present,
-    each masked position additionally earns
+    context's exact `levels` table. In credulous mode a position whose window
+    holds more wrong reveals than correct ones intends (target + 1) mod V.
+    When an embedding override is present, each masked position also earns
     eta * (cos(blend, Emb(target)) - cos(mask_vec, Emb(target))), the
     context's bonus, clipped into [0, c_max]: the blend is
     (1 - alpha) * mask_vec + alpha * Emb(p) for the position's override id
@@ -245,10 +235,17 @@ def noisy_oracle_logits(state: DiffusionState, ctx: DenoiseContext, rows, held_r
     else:
         revealed = tokens != state.vocab.mask_id
         r = np.count_nonzero(revealed)
-        wrong = (revealed & (tokens != target)).astype(np.float64)
-        revealed_in_window = _window_sums(revealed.astype(np.float64), params.window)
-        wrong_in_window = _window_sums(wrong, params.window)
-        flip = 2.0 * wrong_in_window > revealed_in_window
+        # Votes: +1 wrong reveal, -1 correct, 0 masked. Padded with w // 2 + 1
+        # zeros in front and w // 2 behind, their prefix sum gives position i's
+        # window total as sums[i + w] - sums[i]. A window of 2n - 1 or more
+        # covers all n positions from each one, so w clips to 2n - 1.
+        n = len(tokens)
+        w = min(params.window, 2 * n - 1)
+        votes = np.zeros(n + w, dtype=np.int64)
+        votes[w // 2 + 1 : w // 2 + 1 + n] = revealed
+        votes[w // 2 + 1 : w // 2 + 1 + n][tokens == target] = -1
+        sums = votes.cumsum()
+        flip = sums[w:] > sums[:n]
         target = np.where(flip, (target + 1) % V, target)
     hi = ctx.levels.item(r)
     lo = (1.0 - hi) / (V - 1)

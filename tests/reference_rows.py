@@ -16,7 +16,6 @@ table, the form the override took before it was recorded by its ids.
 import numpy as np
 
 from warmdiff.decoder import confidences
-from warmdiff.denoiser import _window_sums
 
 
 def override_vectors(override):
@@ -29,6 +28,18 @@ def override_vectors(override):
     kept = ids >= 0
     out[kept] = (1.0 - alpha) * mask_vec + alpha * table.rows[ids[kept]]
     return out
+
+
+def window_sums(values, window):
+    """Sum of `values` over the width-`window` neighborhood centered at each
+    position, truncated at the sequence edges, as floats: the path the
+    oracle took before it voted in integers."""
+    n = len(values)
+    half = (window - 1) // 2
+    cum = np.concatenate([[0.0], np.cumsum(values)])
+    lo = np.maximum(np.arange(n) - half, 0)
+    hi = np.minimum(np.arange(n) + half + 1, n)
+    return cum[hi] - cum[lo]
 
 
 def oracle_rows(state, ctx, rows=None):
@@ -52,8 +63,8 @@ def oracle_rows(state, ctx, rows=None):
     intended = ctx.target[rows]
     if params.mode == "credulous":
         wrong = (revealed & (tokens != ctx.target)).astype(np.float64)
-        revealed_in_window = _window_sums(revealed.astype(np.float64), params.window)
-        wrong_in_window = _window_sums(wrong, params.window)
+        revealed_in_window = window_sums(revealed.astype(np.float64), params.window)
+        wrong_in_window = window_sums(wrong, params.window)
         flip = (2.0 * wrong_in_window > revealed_in_window)[rows]
         intended[flip] = (intended[flip] + 1) % V
 

@@ -43,6 +43,24 @@ def test_closed_stdout_exits_one_without_a_traceback(tmp_path, command):
     assert proc.stderr.splitlines() == ["error: standard output was closed"]
 
 
+@pytest.mark.parametrize(
+    "command, text, runs",
+    [
+        ("run --config", "num_runs = 5\n", 5),
+        ("sweep --grid", 'num_runs = 2\nwarmstart.method = "none", "token-injection"\n', 4),
+    ],
+    ids=["run", "sweep"],
+)
+def test_capped_runs_give_one_warning_line(tmp_path, capsys, command, text, runs):
+    """Runs stopped by decode.k_max with positions still masked are reported
+    once, as one plain stderr line after the output."""
+    cfg = write(tmp_path / "cfg.txt", "n = 16\ndecode.k_max = 4\n" + text)
+    assert cli.main([*command.split(), cfg]) == 0
+    out, err = capsys.readouterr()
+    assert err.splitlines() == [f"warning: {runs} of {runs} runs stopped at decode.k_max = 4 with positions still masked"]
+    assert "warning" not in out
+
+
 def test_run_trace_memory_is_flat_in_the_number_of_runs(tmp_path):
     """`run --trace` writes each run's trace as the run finishes and keeps
     none, so a child's peak RSS barely grows from 200 to 1,000 runs of a
@@ -77,7 +95,8 @@ class TestRun:
     def test_prints_summary_and_exits_zero(self, tmp_path, capsys):
         cfg = write(tmp_path / "cfg.txt", BASIC)
         assert cli.main(["run", "--config", cfg]) == 0
-        out = capsys.readouterr().out
+        out, err = capsys.readouterr()
+        assert err == ""  # no run capped
         assert "runs = 3" in out
         assert "mean_nfe = 1.0" in out
         assert "exact_match_rate = 1.0" in out
@@ -138,10 +157,10 @@ class TestRun:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"config error: cannot read config file {cfg}")
 
-    @pytest.mark.parametrize("flag, runs", [("--csv", 3), ("--trace", 0)], ids=["--csv", "--trace"])
-    def test_unwritable_output_exits_one(self, tmp_path, capsys, monkeypatch, flag, runs):
-        """The CSV is written after the runs; the trace file is opened
-        before them, so a trace path that cannot be written costs no run."""
+    @pytest.mark.parametrize("flag", ["--csv", "--trace"])
+    def test_unwritable_output_exits_one(self, tmp_path, capsys, monkeypatch, flag):
+        """The CSV and trace files are opened before the first run, so a path
+        that cannot be written costs no run."""
         calls = []
         run_one = harness.run_one
         monkeypatch.setattr(harness, "run_one", lambda *args: calls.append(args) or run_one(*args))
@@ -150,7 +169,7 @@ class TestRun:
         assert cli.main(["run", "--config", cfg, flag, str(target)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: cannot write {target}: No such file or directory"]
-        assert len(calls) == runs
+        assert calls == []
 
     def test_non_finite_eta_exits_one(self, tmp_path, capsys):
         cfg = write(

@@ -165,7 +165,8 @@ def oracle_params(draw):
         eta=draw(st.sampled_from([0.0, 0.5, draw(st.floats(0.0, 3.0))])),
         c_max=draw(st.floats(c0, 1.0)),
         mode=draw(st.sampled_from(["faithful", "credulous"])),
-        window=draw(st.sampled_from([1, 3, 5])),
+        # 21 and 10^9 + 1 are wider than 2n - 1 for every drawn n.
+        window=draw(st.sampled_from([1, 3, 5, 21, 1000000001])),
     )
 
 

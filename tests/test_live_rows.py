@@ -14,7 +14,6 @@ reference writer, so the comparison also covers `trace_lines` on columns.
 from dataclasses import fields
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -118,7 +117,6 @@ def trace_bytes(write, trace, header=None):
     return "\n".join(write(trace, header or {})).encode()
 
 
-@pytest.mark.filterwarnings("ignore:k_max")
 @settings(max_examples=400, deadline=None)
 @given(runs(), st.data())
 def test_live_rows_match_the_full_matrix(run, data):
@@ -136,7 +134,6 @@ def test_live_rows_match_the_full_matrix(run, data):
         assert got.final_tokens.tobytes() == want.final_tokens.tobytes()
 
 
-@pytest.mark.filterwarnings("ignore:k_max")
 @settings(max_examples=300, deadline=None)
 @given(runs(), st.floats(0.05, 1.0))
 def test_trace_lines_match_the_reference_writer(run, tau):
